@@ -99,6 +99,27 @@ proptest! {
         kernel::average_into(Exec::Serial, &views, &mut serial);
         kernel::average_into(Exec::Parallel, &views, &mut parallel);
         prop_assert_eq!(&serial, &parallel, "average");
+
+        // The sharded plane's identity under the parallel dispatch: folding
+        // each of k shard ranges on its own reproduces the serial full fold.
+        type RangeKernel = fn(Exec, &[&[f32]], usize, &mut [f32]);
+        let ranged: [(&str, RangeKernel); 3] = [
+            ("average", kernel::average_range_into),
+            ("median", kernel::median_range_into),
+            ("trimmed-mean", |e, v, s, o| {
+                kernel::trimmed_mean_range_into(e, v, 1, s, o)
+            }),
+        ];
+        for (name, fold) in ranged {
+            fold(Exec::Serial, &views, 0, &mut serial);
+            for k in [2usize, 4, 8] {
+                let width = d.div_ceil(k);
+                for (g, chunk) in parallel.chunks_mut(width).enumerate() {
+                    fold(Exec::Parallel, &views, g * width, chunk);
+                }
+                prop_assert_eq!(&serial, &parallel, "{} over {} shard ranges", name, k);
+            }
+        }
     }
 
     /// Full rules stay deterministic under the parallel dispatch: repeated

@@ -32,14 +32,6 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))
 }
 
-/// The `--only SUBSTR` sweep filter every sweep binary shares: a point
-/// labelled `label` runs iff the filter is empty or a substring of the
-/// label. Centralised so *every* loop of every sweep applies the same
-/// rule (a binary filtering one sweep but not another is a footgun).
-pub fn selected(label: &str, only: &str) -> bool {
-    only.is_empty() || label.contains(only)
-}
-
 /// Writes a JSON value under `results/<name>.json` (creating the
 /// directory), and prints where it went.
 pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {

@@ -24,8 +24,12 @@
 //! The protocol roles — honest server, honest worker, Byzantine server,
 //! Byzantine worker — are implemented exactly once, as the sans-I/O
 //! state machines of [`node`] (typed messages in, [`node::Output`]s
-//! out). Three engines drive them at different levels of physical
-//! fidelity (DESIGN.md §3 and §11):
+//! out). Their shared starting state is built exactly once too, by
+//! [`plant`]: `θ₀`, the seed derivation, the machine roster per shard
+//! group and the forward/backward pass that answers a worker's gradient
+//! request. Three engines drive the machines at different levels of
+//! physical fidelity, supplying only routing, a clock and I/O
+//! (DESIGN.md §3 and §11):
 //!
 //! * [`lockstep`] — a round-structured driver with a
 //!   [`cost::CostModel`]-driven simulated clock. Used for the long
@@ -73,6 +77,7 @@ pub mod faults;
 pub mod lockstep;
 pub mod metrics;
 pub mod node;
+pub mod plant;
 pub mod protocol;
 pub mod shard;
 pub mod trace;

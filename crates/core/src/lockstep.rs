@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 use aggregation::{CoordinateWiseMedian, Gar, GarKind};
 use byzantine::AttackKind;
-use data::{partition_dataset, Batcher, Dataset, Partition};
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use data::{partition_dataset, Dataset, Partition};
+use nn::{LrSchedule, Sequential};
 use simnet::DelayModel;
 use tensor::{Tensor, TensorRng};
 
@@ -42,10 +42,8 @@ use crate::contraction::{alignment_snapshot, AlignmentRecord};
 use crate::cost::CostModel;
 use crate::faults::FaultSchedule;
 use crate::metrics::{evaluate, RunResult, TrainingRecord};
-use crate::node::{
-    self, ByzServerMachine, ByzWorkerMachine, MachineConfig, MachineSpec, NodeMsg, Output,
-    QuorumMode, ServerMachine, StepRecord, WorkerMachine,
-};
+use crate::node::{self, MachineConfig, MachineSpec, NodeMsg, Output, QuorumMode, StepRecord};
+use crate::plant::{GradientSource, Node, Plant};
 use crate::trace::Trace;
 use crate::{GuanYuError, Result};
 
@@ -131,36 +129,21 @@ impl LockstepConfig {
     /// gives "vanilla GuanYu" (same graph, our communication stack).
     pub fn vanilla(workers: usize, native: bool, seed: u64) -> Self {
         LockstepConfig {
-            cluster: ClusterConfig::single_server(workers),
-            batch_size: 32,
-            lr: LrSchedule::constant(0.05),
-            seed,
             server_gar: GarKind::Average,
             robust_worker_fold: false,
             exchange_enabled: false,
-            actual_byz_workers: 0,
-            worker_attack: None,
-            actual_byz_servers: 0,
-            server_attack: None,
-            delay: DelayModel::grid5000(),
             cost: if native {
                 CostModel::vanilla_tf()
             } else {
                 CostModel::guanyu()
             },
             alignment_every: 0,
-            partition: Partition::Iid,
-            faults: FaultSchedule::none(),
-            trace_enabled: false,
+            ..Self::guanyu(ClusterConfig::single_server(workers), seed)
         }
     }
 
     fn machine_config(&self, horizon: u64) -> MachineConfig {
         MachineConfig {
-            cluster: self.cluster,
-            max_steps: horizon,
-            lr: self.lr,
-            server_gar: self.server_gar,
             seed: self.seed,
             actual_byz_workers: self.actual_byz_workers,
             worker_attack: self.worker_attack,
@@ -173,35 +156,27 @@ impl LockstepConfig {
             recovery: true,
             mode: QuorumMode::Planned,
             faults: self.faults.clone(),
+            ..MachineConfig::honest(self.cluster, horizon, self.lr, self.server_gar)
         }
     }
-}
-
-/// Per-worker training substrate: the machine asks for a gradient, this
-/// answers it.
-struct WorkerState {
-    model: Sequential,
-    batcher: Batcher,
-    /// This worker's training shard ([`Partition::Iid`] gives every worker
-    /// an i.i.d. slice of the full set).
-    shard: Dataset,
 }
 
 /// The lockstep trainer. See the module docs for semantics.
 pub struct LockstepTrainer {
     cfg: LockstepConfig,
     spec: Arc<MachineSpec>,
-    servers: Vec<ServerMachine>,
-    byz_servers: Vec<ByzServerMachine>,
-    workers: Vec<WorkerMachine>,
-    byz_workers: Vec<ByzWorkerMachine>,
-    worker_data: Vec<WorkerState>,
+    /// Every machine of the deployment, indexed by logical id.
+    nodes: Vec<Node>,
+    /// Honest workers' training substrates ([`Partition::Iid`] gives every
+    /// worker the full training set with its own batch stream).
+    sources: Vec<GradientSource>,
     /// In-flight machine messages `(from, to, msg)`, delivered in order.
     queue: VecDeque<(usize, usize, NodeMsg)>,
     /// Gradient requests `(honest worker index, step, folded model)` the
     /// driver has not answered yet — answered once the round reaches them.
     pending: Vec<(usize, u64, Tensor)>,
-    /// Every completed step, across all servers (feeds the trace).
+    /// The steps completed in the current round, across all servers; folded
+    /// into the trace when the round closes (empty unless tracing).
     records: Vec<StepRecord>,
     /// Mirror of the honest server machines' parameters (public API).
     server_params: Vec<Tensor>,
@@ -210,7 +185,7 @@ pub struct LockstepTrainer {
     model_fold: CoordinateWiseMedian,
     eval_model: Sequential,
     /// Full training set, kept for inspection (workers hold their shards).
-    train: Dataset,
+    train: Arc<Dataset>,
     test: Dataset,
     rng: TensorRng,
     step: u64,
@@ -238,72 +213,33 @@ impl LockstepTrainer {
         train: Dataset,
         test: Dataset,
     ) -> Result<Self> {
-        let spec = MachineSpec::new(cfg.machine_config(INITIAL_HORIZON))?;
-
-        let mut rng = TensorRng::new(cfg.seed);
-        let mut init_rng = rng.fork(0xA11);
-        let template = model_builder(&mut init_rng);
-        let theta0 = template.param_vector();
-        let dim = theta0.len();
-
-        // Honest servers all start from θ₀ (clones share one buffer).
-        let honest_servers = cfg.cluster.servers - cfg.actual_byz_servers;
-        let mut servers = Vec::with_capacity(honest_servers);
-        for s in 0..honest_servers {
-            let gar = cfg.server_gar.build(cfg.cluster.krum_f()).map_err(|e| {
-                GuanYuError::InvalidConfig(format!("server GAR construction failed: {e}"))
-            })?;
-            servers.push(ServerMachine::new(
-                Arc::clone(&spec),
-                s,
-                theta0.clone(),
-                0,
-                gar,
-            ));
-        }
-        let byz_servers: Vec<ByzServerMachine> = (honest_servers..cfg.cluster.servers)
-            .map(|s| ByzServerMachine::new(Arc::clone(&spec), s, dim))
-            .collect();
-
-        // Honest workers: own machine, own model instance, own batch
-        // stream, own shard.
-        let honest_workers = cfg.cluster.workers - cfg.actual_byz_workers;
-        let shards: Vec<Dataset> = match cfg.partition {
-            // IID keeps the paper's semantics exactly: every worker samples
-            // the full training set with its own stream.
-            Partition::Iid => vec![train.clone(); honest_workers],
-            other => partition_dataset(&train, honest_workers, other, cfg.seed)?,
-        };
-        let mut workers = Vec::with_capacity(honest_workers);
-        let mut worker_data = Vec::with_capacity(honest_workers);
-        for (w, shard) in shards.into_iter().enumerate() {
-            let mut worker_rng = rng.fork(0xB0B + w as u64);
-            workers.push(WorkerMachine::new(
-                Arc::clone(&spec),
-                cfg.cluster.servers + w,
-                dim,
-            ));
-            worker_data.push(WorkerState {
-                model: model_builder(&mut worker_rng),
-                batcher: Batcher::new(shard.len(), cfg.batch_size, cfg.seed ^ (w as u64) << 17),
-                shard,
-            });
-        }
-        let byz_workers: Vec<ByzWorkerMachine> = (honest_workers..cfg.cluster.workers)
-            .map(|w| ByzWorkerMachine::new(Arc::clone(&spec), w))
-            .collect();
-
-        let eval_model = model_builder(&mut rng.fork(0xE7A1));
-        let server_params = vec![theta0; honest_servers];
+        let train = Arc::new(train);
+        let mut plant = Plant::new(
+            cfg.machine_config(INITIAL_HORIZON),
+            cfg.batch_size,
+            &model_builder,
+            |honest_workers| {
+                Ok(match cfg.partition {
+                    // IID keeps the paper's semantics exactly: every worker
+                    // samples the full training set with its own stream.
+                    Partition::Iid => vec![Arc::clone(&train); honest_workers],
+                    other => partition_dataset(&train, honest_workers, other, cfg.seed)?
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect(),
+                })
+            },
+        )?;
+        let dim = plant.dim();
+        let nodes = plant.roster(0..dim)?;
+        let eval_model = model_builder(&mut plant.rng.fork(0xE7A1));
+        let server_params = honest_params(&nodes);
 
         Ok(LockstepTrainer {
             cfg,
-            spec,
-            servers,
-            byz_servers,
-            workers,
-            byz_workers,
-            worker_data,
+            spec: plant.spec,
+            nodes,
+            sources: plant.sources,
             queue: VecDeque::new(),
             pending: Vec::new(),
             records: Vec::new(),
@@ -312,7 +248,7 @@ impl LockstepTrainer {
             eval_model,
             train,
             test,
-            rng,
+            rng: plant.rng,
             step: 0,
             sim_time: 0.0,
             alignment: Vec::new(),
@@ -416,14 +352,19 @@ impl LockstepTrainer {
             )));
         }
         self.ensure_horizon(ckpt.step)?;
-        for (s, machine) in self.servers.iter_mut().enumerate() {
-            machine.restore(ckpt.server_params[s].clone(), ckpt.step);
-        }
-        for machine in &mut self.workers {
-            machine.restore(ckpt.step);
+        for (id, node) in self.nodes.iter_mut().enumerate() {
+            match node {
+                Node::Server(m) => m.restore(ckpt.server_params[id].clone(), ckpt.step),
+                Node::Worker(m) => m.restore(ckpt.step),
+                Node::ByzServer(_) | Node::ByzWorker(_) => {}
+            }
         }
         self.queue.clear();
         self.pending.clear();
+        // The rounds from the checkpoint on are about to be re-done: their
+        // digests must be replaced, not merged with.
+        self.records.clear();
+        self.trace.rounds.retain(|r| r.step < ckpt.step);
         self.server_params = ckpt.server_params.clone();
         self.step = ckpt.step;
         self.sim_time = ckpt.sim_time_secs;
@@ -447,24 +388,16 @@ impl LockstepTrainer {
             horizon = horizon.saturating_mul(2);
         }
         let spec = MachineSpec::new(self.cfg.machine_config(horizon))?;
-        for m in &mut self.servers {
-            m.respec(Arc::clone(&spec));
-        }
-        for m in &mut self.byz_servers {
-            m.respec(Arc::clone(&spec));
-        }
-        for m in &mut self.workers {
-            m.respec(Arc::clone(&spec));
-        }
-        for m in &mut self.byz_workers {
-            m.respec(Arc::clone(&spec));
+        for node in &mut self.nodes {
+            node.respec(Arc::clone(&spec));
         }
         self.spec = spec;
         Ok(())
     }
 
     /// Files one machine's outputs: sends into the queue, gradient
-    /// requests into the pending list, step records into the trace log.
+    /// requests into the pending list, step records into the round's trace
+    /// log (dropped when tracing is off).
     fn route(&mut self, src: usize, out: Vec<Output>) {
         for o in out {
             match o {
@@ -473,7 +406,11 @@ impl LockstepTrainer {
                     self.pending
                         .push((src - self.cfg.cluster.servers, step, model));
                 }
-                Output::Step(r) => self.records.push(r),
+                Output::Step(r) => {
+                    if self.cfg.trace_enabled {
+                        self.records.push(r);
+                    }
+                }
                 Output::Recovered { .. } => {}
             }
         }
@@ -482,19 +419,8 @@ impl LockstepTrainer {
     /// Delivers queued messages until the network is silent.
     fn drain_queue(&mut self) {
         while let Some((from, to, msg)) = self.queue.pop_front() {
-            let ns = self.cfg.cluster.servers;
-            let hs = self.servers.len();
-            let hw = self.workers.len();
             let mut out = Vec::new();
-            if to < hs {
-                self.servers[to].on_message(from, &msg, &mut out);
-            } else if to < ns {
-                self.byz_servers[to - hs].on_message(from, &msg, &mut out);
-            } else if to < ns + hw {
-                self.workers[to - ns].on_message(from, &msg, &mut out);
-            } else {
-                self.byz_workers[to - ns - hw].on_message(from, &msg, &mut out);
-            }
+            self.nodes[to].on_message(from, &msg, &mut out);
             self.route(to, out);
         }
     }
@@ -511,31 +437,23 @@ impl LockstepTrainer {
                 continue;
             }
             let (w, step, view) = self.pending.remove(i);
-            let grad = self.compute_gradient(w, &view)?;
+            let grad = self.sources[w].compute(&view)?;
             if !grad.is_finite() {
                 // Loss overflow: the run is past saving (only happens to
                 // the unprotected baselines under attack).
                 self.diverged = true;
                 return Ok(true);
             }
+            let id = self.cfg.cluster.servers + w;
+            let Node::Worker(machine) = &mut self.nodes[id] else {
+                unreachable!("gradient requests come from honest workers");
+            };
             let mut out = Vec::new();
-            self.workers[w].gradient_ready(step, grad, &mut out);
-            self.route(self.cfg.cluster.servers + w, out);
+            machine.gradient_ready(step, grad, &mut out);
+            self.route(id, out);
             fulfilled = true;
         }
         Ok(fulfilled)
-    }
-
-    /// One forward/backward pass on worker `w`'s shard at the folded view.
-    fn compute_gradient(&mut self, w: usize, view: &Tensor) -> Result<Tensor> {
-        let worker = &mut self.worker_data[w];
-        worker.model.set_param_vector(view)?;
-        worker.model.zero_grads();
-        let (x, labels) = worker.batcher.next_batch(&worker.shard)?;
-        let logits = worker.model.forward(&x, true)?;
-        let (_, dlogits) = softmax_cross_entropy(&logits, &labels)?;
-        worker.model.backward(&dlogits)?;
-        Ok(worker.model.grad_vector())
     }
 
     /// Slowest sampled arrival among `senders` under the round's delay
@@ -571,8 +489,8 @@ impl LockstepTrainer {
         let d = self.dim;
         let bytes = CostModel::message_bytes(d);
         let ns = cfg.cluster.servers;
-        let hs = self.servers.len();
-        let hw = self.workers.len();
+        let hs = spec.cfg.honest_servers();
+        let hw = spec.cfg.honest_workers();
         let q_model = cfg.cluster.server_quorum;
         let q_grad = cfg.cluster.worker_quorum;
         let mut phase = 0.0f64;
@@ -664,20 +582,10 @@ impl LockstepTrainer {
         self.ensure_horizon(round)?;
         if !self.started {
             self.started = true;
-            for s in 0..self.servers.len() {
+            for id in 0..self.nodes.len() {
                 let mut out = Vec::new();
-                self.servers[s].on_start(&mut out);
-                self.route(s, out);
-            }
-            for b in 0..self.byz_servers.len() {
-                let mut out = Vec::new();
-                self.byz_servers[b].on_start(&mut out);
-                self.route(self.servers.len() + b, out);
-            }
-            for w in 0..self.workers.len() {
-                let mut out = Vec::new();
-                self.workers[w].on_start(&mut out);
-                self.route(self.cfg.cluster.servers + w, out);
+                self.nodes[id].on_start(&mut out);
+                self.route(id, out);
             }
         }
         // Round fixpoint: deliver everything in flight, answer gradient
@@ -695,14 +603,17 @@ impl LockstepTrainer {
             }
         }
 
-        self.server_params = self.servers.iter().map(|m| m.params().clone()).collect();
+        self.server_params = honest_params(&self.nodes);
         let phase_time = self.round_phase_time(round);
         self.step += 1;
         self.sim_time += phase_time;
         self.last_phase_time = phase_time;
-        if self.cfg.trace_enabled {
-            self.trace = node::assemble_trace(&self.records);
-        }
+        // Fold only this round's records: the digests of earlier rounds
+        // are final.
+        self.trace
+            .rounds
+            .extend(node::assemble_trace(&self.records).rounds);
+        self.records.clear();
 
         if self.cfg.alignment_every > 0
             && self.step.is_multiple_of(self.cfg.alignment_every)
@@ -761,6 +672,17 @@ impl LockstepTrainer {
             total_secs: self.sim_time,
         })
     }
+}
+
+/// The honest servers' current parameter vectors, in server order.
+fn honest_params(nodes: &[Node]) -> Vec<Tensor> {
+    nodes
+        .iter()
+        .filter_map(|n| match n {
+            Node::Server(m) => Some(m.params().clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1159,7 +1081,8 @@ mod tests {
     #[test]
     fn checkpoint_restore_roundtrip() {
         let (train, test) = tiny_data();
-        let cfg = LockstepConfig::guanyu(small_cluster(), 8);
+        let mut cfg = LockstepConfig::guanyu(small_cluster(), 8);
+        cfg.trace_enabled = true;
         let mut t =
             LockstepTrainer::new(cfg.clone(), builder, train.clone(), test.clone()).unwrap();
         for _ in 0..4 {
@@ -1167,6 +1090,22 @@ mod tests {
         }
         let ckpt = t.checkpoint().unwrap();
         let json = ckpt.to_json().unwrap();
+        let fresh_prefix = t.trace().clone();
+
+        // Rewinding the same trainer re-does rounds 4 and 5: their digests
+        // replace the first attempt's, they never merge with them.
+        for _ in 0..2 {
+            t.step().unwrap();
+        }
+        t.restore(&ckpt).unwrap();
+        assert_eq!(t.trace(), &fresh_prefix, "restore truncates the trace");
+        for _ in 0..2 {
+            t.step().unwrap();
+        }
+        let steps: Vec<u64> = t.trace().rounds.iter().map(|r| r.step).collect();
+        assert_eq!(steps, (0..6).collect::<Vec<u64>>(), "one digest per step");
+        assert_eq!(t.trace().rounds[..4], fresh_prefix.rounds[..]);
+        t.restore(&ckpt).unwrap();
 
         // Fresh trainer, restore, continue.
         let mut t2 = LockstepTrainer::new(cfg, builder, train, test).unwrap();

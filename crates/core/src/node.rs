@@ -51,8 +51,9 @@ pub enum QuorumMode {
     Planned,
 }
 
-/// A typed protocol message between nodes (what the wire formats encode).
-#[derive(Debug, Clone)]
+/// A typed protocol message between nodes — what the machines exchange
+/// and, unchanged, what the runtime's wire codec encodes and decodes.
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeMsg {
     /// Phase 1: a server's model broadcast to the workers.
     Model {
@@ -88,17 +89,48 @@ impl NodeMsg {
         }
     }
 
+    /// The carried vector.
+    pub fn vector(&self) -> &Tensor {
+        match self {
+            NodeMsg::Model { params, .. } | NodeMsg::Exchange { params, .. } => params,
+            NodeMsg::Gradient { grad, .. } => grad,
+        }
+    }
+
     /// The payload vector length.
     pub fn len(&self) -> usize {
-        match self {
-            NodeMsg::Model { params, .. } | NodeMsg::Exchange { params, .. } => params.len(),
-            NodeMsg::Gradient { grad, .. } => grad.len(),
-        }
+        self.vector().len()
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// A copy of the message carrying only coordinates `range` of its
+    /// vector — the *materialising* fallback behind the runtime's
+    /// `Transport::broadcast_range` (the concrete transports encode the
+    /// range straight off the original buffer instead).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `range` does not fit the carried vector.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> NodeMsg {
+        let t = Tensor::from_flat(self.vector().as_slice()[range].to_vec());
+        match self {
+            NodeMsg::Model { step, .. } => NodeMsg::Model {
+                step: *step,
+                params: t,
+            },
+            NodeMsg::Gradient { step, .. } => NodeMsg::Gradient {
+                step: *step,
+                grad: t,
+            },
+            NodeMsg::Exchange { step, .. } => NodeMsg::Exchange {
+                step: *step,
+                params: t,
+            },
+        }
     }
 }
 
@@ -255,8 +287,9 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// Arrival-mode config with no adversary and no faults — the shape the
-    /// engines' own default paths use.
+    /// Arrival-mode GuanYu (exchange on, robust worker fold) with no
+    /// adversary, no faults and seed 0 — the base every engine's config
+    /// projection fills in.
     pub fn honest(cluster: ClusterConfig, max_steps: u64, lr: LrSchedule, gar: GarKind) -> Self {
         MachineConfig {
             cluster,

@@ -19,21 +19,19 @@
 //! per-step completion times after the run.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use data::{Batcher, Dataset};
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use data::Dataset;
+use nn::{LrSchedule, Sequential};
 use simnet::{Context, DelayModel, NetworkModel, NodeId, SimNode, SimTime, Simulator};
 use tensor::{Tensor, TensorRng};
 
 use crate::config::ClusterConfig;
 use crate::cost::CostModel;
 use crate::faults::FaultSchedule;
-use crate::node::{
-    self, ByzServerMachine, ByzWorkerMachine, MachineConfig, MachineSpec, Output, QuorumMode,
-    ServerMachine, StepRecord, WorkerMachine,
-};
+use crate::node::{self, MachineConfig, Output, QuorumMode, StepRecord};
+use crate::plant::{GradientSource, Node, Plant};
 use crate::trace::Trace;
 use crate::Result;
 
@@ -158,10 +156,6 @@ pub struct ProtocolConfig {
 impl ProtocolConfig {
     fn machine_config(&self, seed: u64) -> MachineConfig {
         MachineConfig {
-            cluster: self.cluster,
-            max_steps: self.max_steps,
-            lr: self.lr,
-            server_gar: self.server_gar,
             seed,
             actual_byz_workers: self.actual_byz_workers,
             worker_attack: self.worker_attack,
@@ -169,62 +163,77 @@ impl ProtocolConfig {
             server_attack: self.server_attack,
             worker_attack_windows: self.worker_attack_windows.clone(),
             server_attack_windows: self.server_attack_windows.clone(),
-            exchange_enabled: true,
-            robust_worker_fold: true,
             recovery: self.recovery,
             mode: self.mode,
             faults: self.faults.clone(),
+            ..MachineConfig::honest(self.cluster, self.max_steps, self.lr, self.server_gar)
         }
     }
 }
 
-/// Sends one machine output to the network, pricing it with the given
-/// per-kind compute delays (seconds added before the wire delay).
-fn send_output(
-    ctx: &mut Context<'_, Msg>,
-    to: usize,
-    msg: Msg,
+/// The one driver shim: wraps any [`Node`], translates network events into
+/// machine inbounds and the machine's outputs back into priced sends.
+struct SimDriver {
+    node: Node,
+    /// The gradient substrate (honest workers only).
+    source: Option<GradientSource>,
+    /// Compute time charged before each Gradient send (forward/backward +
+    /// the model-view median + two conversions). Zero for Byzantine nodes:
+    /// the adversary does not pay for honest work.
     gradient_secs: f64,
-    exchange_secs: f64,
-) {
-    let bytes = CostModel::message_bytes(msg.len());
-    let delay = match msg {
-        Msg::Gradient { .. } => gradient_secs,
-        Msg::Exchange { .. } => exchange_secs,
-        Msg::Model { .. } => 0.0,
-    };
-    if delay > 0.0 {
-        ctx.send_after(delay, NodeId(to), msg, bytes);
-    } else {
-        ctx.send(NodeId(to), msg, bytes);
-    }
-}
-
-/// Driver for an honest parameter server machine.
-struct ServerDriver {
-    machine: ServerMachine,
     /// Compute time charged before each Exchange send (Multi-Krum fold +
-    /// local update + conversion).
+    /// local update + conversion). Zero for Byzantine nodes.
     exchange_secs: f64,
     recorder: Rc<RefCell<Recorder>>,
     reported_discards: u64,
 }
 
-impl ServerDriver {
+impl SimDriver {
     fn flush(&mut self, out: Vec<Output>, ctx: &mut Context<'_, Msg>) {
-        for o in out {
+        let mut queue = VecDeque::from(out);
+        while let Some(o) = queue.pop_front() {
             match o {
-                Output::Send { to, msg } => send_output(ctx, to, msg, 0.0, self.exchange_secs),
+                Output::Send { to, msg } => {
+                    let bytes = CostModel::message_bytes(msg.len());
+                    let delay = match msg {
+                        Msg::Gradient { .. } => self.gradient_secs,
+                        Msg::Exchange { .. } => self.exchange_secs,
+                        Msg::Model { .. } => 0.0,
+                    };
+                    if delay > 0.0 {
+                        ctx.send_after(delay, NodeId(to), msg, bytes);
+                    } else {
+                        ctx.send(NodeId(to), msg, bytes);
+                    }
+                }
+                Output::NeedGradient { step, model } => {
+                    let (Node::Worker(machine), Some(source)) = (&mut self.node, &mut self.source)
+                    else {
+                        unreachable!("only honest workers request gradients");
+                    };
+                    // A failed pass yields a non-finite gradient, which the
+                    // machine swallows: the step is skipped, never stalled.
+                    let grad = source
+                        .compute(&model)
+                        .unwrap_or_else(|_| Tensor::full(&[model.len()], f32::NAN));
+                    // The answer's sends (and possibly the next step's
+                    // request) join the back of the queue.
+                    let mut more = Vec::new();
+                    machine.gradient_ready(step, grad, &mut more);
+                    queue.extend(more);
+                }
                 Output::Step(r) => {
+                    let Node::Server(machine) = &self.node else {
+                        unreachable!("only honest servers complete steps");
+                    };
                     self.recorder
                         .borrow_mut()
-                        .record(r, self.machine.params(), ctx.now());
+                        .record(r, machine.params(), ctx.now());
                 }
                 Output::Recovered { .. } => {}
-                Output::NeedGradient { .. } => unreachable!("servers never compute gradients"),
             }
         }
-        let d = self.machine.discarded();
+        let d = self.node.discarded();
         if d > self.reported_discards {
             self.recorder.borrow_mut().discarded += d - self.reported_discards;
             self.reported_discards = d;
@@ -232,132 +241,17 @@ impl ServerDriver {
     }
 }
 
-impl SimNode<Msg> for ServerDriver {
+impl SimNode<Msg> for SimDriver {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         let mut out = Vec::new();
-        self.machine.on_start(&mut out);
+        self.node.on_start(&mut out);
         self.flush(out, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         let mut out = Vec::new();
-        self.machine.on_message(from.0, &msg, &mut out);
+        self.node.on_message(from.0, &msg, &mut out);
         self.flush(out, ctx);
-    }
-}
-
-/// Driver for an honest worker machine: answers the machine's
-/// [`Output::NeedGradient`] requests with a real forward/backward pass.
-struct WorkerDriver {
-    machine: WorkerMachine,
-    model: Sequential,
-    batcher: Batcher,
-    train: Rc<Dataset>,
-    /// Compute time charged before each Gradient send (forward/backward +
-    /// the model-view median + two conversions).
-    gradient_secs: f64,
-    recorder: Rc<RefCell<Recorder>>,
-    reported_discards: u64,
-}
-
-impl WorkerDriver {
-    /// Runs the forward/backward pass at the folded model. A failed pass
-    /// yields a non-finite gradient, which the machine swallows (the step
-    /// is skipped rather than stalling the worker forever).
-    fn compute_gradient(&mut self, folded: &Tensor) -> Tensor {
-        let d = folded.len();
-        if self.model.set_param_vector(folded).is_err() {
-            return Tensor::full(&[d], f32::NAN);
-        }
-        self.model.zero_grads();
-        self.batcher
-            .next_batch(&self.train)
-            .map_err(|e| e.to_string())
-            .and_then(|(x, labels)| {
-                let logits = self.model.forward(&x, true).map_err(|e| e.to_string())?;
-                let (_, dl) = softmax_cross_entropy(&logits, &labels).map_err(|e| e.to_string())?;
-                self.model.backward(&dl).map_err(|e| e.to_string())?;
-                Ok(self.model.grad_vector())
-            })
-            .unwrap_or_else(|_| Tensor::full(&[d], f32::NAN))
-    }
-
-    fn flush(&mut self, mut out: Vec<Output>, ctx: &mut Context<'_, Msg>) {
-        let mut i = 0;
-        while i < out.len() {
-            let o = out[i].clone();
-            i += 1;
-            match o {
-                Output::Send { to, msg } => send_output(ctx, to, msg, self.gradient_secs, 0.0),
-                Output::NeedGradient { step, model } => {
-                    let grad = self.compute_gradient(&model);
-                    // Appends the resulting sends (and possibly the next
-                    // step's NeedGradient) to `out`; the loop drains them.
-                    self.machine.gradient_ready(step, grad, &mut out);
-                }
-                Output::Step(_) | Output::Recovered { .. } => {
-                    unreachable!("workers do not complete server steps")
-                }
-            }
-        }
-        let d = self.machine.discarded();
-        if d > self.reported_discards {
-            self.recorder.borrow_mut().discarded += d - self.reported_discards;
-            self.reported_discards = d;
-        }
-    }
-}
-
-impl SimNode<Msg> for WorkerDriver {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let mut out = Vec::new();
-        self.machine.on_start(&mut out);
-        self.flush(out, ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let mut out = Vec::new();
-        self.machine.on_message(from.0, &msg, &mut out);
-        self.flush(out, ctx);
-    }
-}
-
-/// Driver for a Byzantine machine (worker or server): forged sends go out
-/// with zero compute delay — the adversary does not pay for honest work.
-struct ByzDriver<M> {
-    machine: M,
-}
-
-impl<M> ByzDriver<M> {
-    fn flush(out: Vec<Output>, ctx: &mut Context<'_, Msg>) {
-        for o in out {
-            match o {
-                Output::Send { to, msg } => send_output(ctx, to, msg, 0.0, 0.0),
-                _ => unreachable!("Byzantine machines only send"),
-            }
-        }
-    }
-}
-
-impl SimNode<Msg> for ByzDriver<ByzWorkerMachine> {
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let mut out = Vec::new();
-        self.machine.on_message(from.0, &msg, &mut out);
-        Self::flush(out, ctx);
-    }
-}
-
-impl SimNode<Msg> for ByzDriver<ByzServerMachine> {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let mut out = Vec::new();
-        self.machine.on_start(&mut out);
-        Self::flush(out, ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-        let mut out = Vec::new();
-        self.machine.on_message(from.0, &msg, &mut out);
-        Self::flush(out, ctx);
     }
 }
 
@@ -377,17 +271,14 @@ pub fn build_simulation(
     seed: u64,
     delay: DelayModel,
 ) -> Result<(Simulator<Msg>, Rc<RefCell<Recorder>>)> {
-    let spec = MachineSpec::new(cfg.machine_config(seed))?;
-
-    let mut rng = TensorRng::new(seed);
-    let mut init_rng = rng.fork(0xA11);
-    let template = model_builder(&mut init_rng);
-    let theta0 = template.param_vector();
-    let dim = theta0.len();
-    let train = Rc::new(train);
-
-    let recorder = Rc::new(RefCell::new(Recorder::default()));
-    let mut sim = Simulator::new(seed ^ 0x51D, delay);
+    let train = Arc::new(train);
+    let plant = Plant::new(
+        cfg.machine_config(seed),
+        cfg.batch_size,
+        model_builder,
+        |honest_workers| Ok(vec![train; honest_workers]),
+    )?;
+    let dim = plant.dim();
 
     let q = cfg.cluster.server_quorum;
     let q_bar = cfg.cluster.worker_quorum;
@@ -398,44 +289,24 @@ pub fn build_simulation(
         + cfg.cost.median_secs(q, dim)
         + 2.0 * cfg.cost.convert_secs(dim);
 
-    let honest_servers = cfg.cluster.servers - cfg.actual_byz_servers;
-    for s in 0..cfg.cluster.servers {
-        if s < honest_servers {
-            let gar = cfg
-                .server_gar
-                .build(cfg.cluster.krum_f())
-                .map_err(|e| crate::GuanYuError::InvalidConfig(e.to_string()))?;
-            sim.add_node(Box::new(ServerDriver {
-                machine: ServerMachine::new(Arc::clone(&spec), s, theta0.clone(), 0, gar),
-                exchange_secs,
-                recorder: Rc::clone(&recorder),
-                reported_discards: 0,
-            }));
-        } else {
-            sim.add_node(Box::new(ByzDriver {
-                machine: ByzServerMachine::new(Arc::clone(&spec), s, dim),
-            }));
-        }
-    }
-
-    let honest_workers = cfg.cluster.workers - cfg.actual_byz_workers;
-    for w in 0..cfg.cluster.workers {
-        if w < honest_workers {
-            let mut worker_rng = rng.fork(0xB0B + w as u64);
-            sim.add_node(Box::new(WorkerDriver {
-                machine: WorkerMachine::new(Arc::clone(&spec), cfg.cluster.servers + w, dim),
-                model: model_builder(&mut worker_rng),
-                batcher: Batcher::new(train.len(), cfg.batch_size, seed ^ (w as u64) << 17),
-                train: Rc::clone(&train),
-                gradient_secs,
-                recorder: Rc::clone(&recorder),
-                reported_discards: 0,
-            }));
-        } else {
-            sim.add_node(Box::new(ByzDriver {
-                machine: ByzWorkerMachine::new(Arc::clone(&spec), w),
-            }));
-        }
+    let recorder = Rc::new(RefCell::new(Recorder::default()));
+    let mut sim = Simulator::new(seed ^ 0x51D, delay);
+    let roster = plant.roster(0..dim)?;
+    let mut sources = plant.sources.into_iter();
+    for node in roster {
+        let honest = matches!(node, Node::Server(_) | Node::Worker(_));
+        let source = match node {
+            Node::Worker(_) => sources.next(),
+            _ => None,
+        };
+        sim.add_node(Box::new(SimDriver {
+            node,
+            source,
+            gradient_secs: if honest { gradient_secs } else { 0.0 },
+            exchange_secs: if honest { exchange_secs } else { 0.0 },
+            recorder: Rc::clone(&recorder),
+            reported_discards: 0,
+        }));
     }
 
     Ok((sim, recorder))

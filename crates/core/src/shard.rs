@@ -5,13 +5,7 @@
 //! coordinates `plan.range(g)` and nothing else. Coordinate-wise GARs
 //! (median, trimmed mean, MeaMed, averaging) commute with this partition,
 //! so a sharded run is bit-identical to the unsharded one.
-//!
-//! [`ShardGather`] is the workers' per-shard quorum ledger: a step is
-//! actionable only once *every* shard group has delivered its quorum of
-//! per-range payloads, mirroring the single-map bookkeeping the unsharded
-//! worker kept per step.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
@@ -118,77 +112,6 @@ impl ShardPlan {
     }
 }
 
-/// Per-step, per-shard quorum ledger for the gather side of scatter/gather.
-///
-/// `T` is the payload type (the runtime stores decoded per-range model
-/// tensors). A step is *complete* once every shard index has accumulated at
-/// least `quorum` payloads; until then nothing is handed out, so partial
-/// gathers can never fold.
-#[derive(Debug)]
-pub struct ShardGather<T> {
-    shards: usize,
-    quorum: usize,
-    pending: HashMap<u64, Vec<Vec<(usize, T)>>>,
-}
-
-impl<T> ShardGather<T> {
-    /// A ledger expecting `quorum` payloads for each of `shards` groups per
-    /// step.
-    pub fn new(shards: usize, quorum: usize) -> Self {
-        ShardGather {
-            shards,
-            quorum,
-            pending: HashMap::new(),
-        }
-    }
-
-    /// Records `payload` from `sender` for `(step, shard)`. Out-of-range
-    /// shard indices are ignored (a Byzantine sender cannot grow the
-    /// ledger).
-    pub fn insert(&mut self, step: u64, shard: usize, sender: usize, payload: T) {
-        if shard >= self.shards {
-            return;
-        }
-        let slots = self
-            .pending
-            .entry(step)
-            .or_insert_with(|| (0..self.shards).map(|_| Vec::new()).collect());
-        slots[shard].push((sender, payload));
-    }
-
-    /// Whether every shard has reached its quorum at `step`.
-    pub fn is_complete(&self, step: u64) -> bool {
-        self.pending
-            .get(&step)
-            .is_some_and(|slots| slots.iter().all(|s| s.len() >= self.quorum))
-    }
-
-    /// Removes and returns `step`'s per-shard `(sender, payload)` lists —
-    /// only once the step is complete (returns `None` otherwise, leaving
-    /// the ledger untouched).
-    pub fn take(&mut self, step: u64) -> Option<Vec<Vec<(usize, T)>>> {
-        if !self.is_complete(step) {
-            return None;
-        }
-        self.pending.remove(&step)
-    }
-
-    /// The newest complete step strictly greater than `after`, if any —
-    /// the recovery fast-forward target.
-    pub fn newest_complete(&self, after: u64) -> Option<u64> {
-        self.pending
-            .keys()
-            .copied()
-            .filter(|&s| s > after && self.is_complete(s))
-            .max()
-    }
-
-    /// Drops every step strictly below `step` (already-folded history).
-    pub fn retain_from(&mut self, step: u64) {
-        self.pending.retain(|&s, _| s >= step);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,41 +159,5 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: ShardPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn gather_completes_only_when_all_shards_are_quorate() {
-        let mut g: ShardGather<u32> = ShardGather::new(2, 2);
-        g.insert(0, 0, 10, 1);
-        g.insert(0, 0, 11, 2);
-        assert!(!g.is_complete(0));
-        assert!(g.take(0).is_none());
-        g.insert(0, 1, 10, 3);
-        g.insert(0, 1, 12, 4);
-        assert!(g.is_complete(0));
-        let slots = g.take(0).unwrap();
-        assert_eq!(slots[0], vec![(10, 1), (11, 2)]);
-        assert_eq!(slots[1], vec![(10, 3), (12, 4)]);
-        assert!(g.take(0).is_none(), "take removes the step");
-    }
-
-    #[test]
-    fn gather_ignores_out_of_range_shards() {
-        let mut g: ShardGather<u32> = ShardGather::new(1, 1);
-        g.insert(0, 5, 9, 1);
-        assert!(!g.is_complete(0));
-    }
-
-    #[test]
-    fn newest_complete_and_retain() {
-        let mut g: ShardGather<u32> = ShardGather::new(1, 1);
-        g.insert(3, 0, 0, 1);
-        g.insert(7, 0, 0, 2);
-        g.insert(9, 0, 0, 3);
-        assert_eq!(g.newest_complete(3), Some(9));
-        assert_eq!(g.newest_complete(9), None);
-        g.retain_from(7);
-        assert!(g.take(3).is_none());
-        assert!(g.take(7).is_some());
     }
 }

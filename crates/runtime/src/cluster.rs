@@ -7,10 +7,11 @@
 //! wire. All protocol logic — quorum ledgers, GAR folds, the contraction
 //! exchange, crash adoption, Byzantine forging — lives in the shared
 //! machines, so the threaded runtime cannot drift from the lockstep and
-//! event-driven engines (DESIGN.md §11). What remains here is exactly the
-//! driver contract: transport I/O, thread lifecycle, the gradient data
-//! pipeline (forward/backward at the machine's folded model), and the
-//! shard-plane scatter/gather (DESIGN.md §9).
+//! event-driven engines (DESIGN.md §11), and the machines themselves, `θ₀`
+//! and the workers' gradient sources come from the shared node plant
+//! ([`guanyu::plant`]). What remains here is exactly the driver contract:
+//! transport I/O, thread lifecycle, and the shard-plane scatter/gather
+//! (DESIGN.md §9).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,23 +22,21 @@ use std::time::{Duration, Instant};
 
 use aggregation::GarKind;
 use byzantine::AttackKind;
-use data::{Batcher, Dataset};
+use data::Dataset;
 use guanyu::config::ClusterConfig;
 use guanyu::faults::FaultSchedule;
-use guanyu::node::{
-    self, ByzServerMachine, ByzWorkerMachine, MachineConfig, MachineSpec, NodeMsg, Output,
-    QuorumMode, ServerMachine, StepRecord, WorkerMachine,
-};
+use guanyu::node::{self, MachineConfig, NodeMsg, Output, QuorumMode, StepRecord, WorkerMachine};
+use guanyu::plant::{GradientSource, Node, Plant};
 use guanyu::shard::ShardPlan;
 use guanyu::trace::Trace;
 use guanyu::GuanYuError;
-use nn::{softmax_cross_entropy, LrSchedule, Sequential};
+use nn::{LrSchedule, Sequential};
 use tensor::{Tensor, TensorRng};
 
 use crate::pool::PoolStats;
 use crate::tcp::TcpTransport;
-use crate::transport::{ChannelTransport, RecvError, Transport};
-use crate::wire::{decode, WireMsg};
+use crate::transport::{ChannelTransport, Incoming, RecvError, Transport};
+use crate::wire::decode;
 
 /// Which interconnect carries the frames (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,10 +145,6 @@ impl RuntimeConfig {
 
     fn machine_config(&self) -> MachineConfig {
         MachineConfig {
-            cluster: self.cluster,
-            max_steps: self.max_steps,
-            lr: self.lr,
-            server_gar: self.server_gar,
             seed: self.seed,
             actual_byz_workers: self.actual_byz_workers,
             worker_attack: self.worker_attack,
@@ -157,11 +152,10 @@ impl RuntimeConfig {
             server_attack: self.server_attack,
             worker_attack_windows: self.faults.worker_attack_windows(),
             server_attack_windows: self.faults.server_attack_windows(),
-            exchange_enabled: true,
-            robust_worker_fold: true,
             recovery: self.recovery,
             mode: self.mode,
             faults: self.faults.clone(),
+            ..MachineConfig::honest(self.cluster, self.max_steps, self.lr, self.server_gar)
         }
     }
 }
@@ -242,15 +236,18 @@ impl NetStats {
             pool: net.pool_stats(),
         }
     }
-}
 
-/// Every endpoint snapshots the *same* mesh-shared pool at its own
-/// shutdown instant; the latest snapshot has the largest (monotonic)
-/// counters, so a field-wise max keeps it without double counting.
-fn fold_pool(acc: &mut PoolStats, snap: PoolStats) {
-    acc.fresh = acc.fresh.max(snap.fresh);
-    acc.recycled = acc.recycled.max(snap.recycled);
-    acc.high_water = acc.high_water.max(snap.high_water);
+    /// Adds another endpoint's counters. Every endpoint snapshots the
+    /// *same* mesh-shared pool at its own shutdown instant; the latest
+    /// snapshot has the largest (monotonic) counters, so a field-wise max
+    /// keeps it without double counting.
+    fn absorb(&mut self, other: NetStats) {
+        self.dropped += other.dropped;
+        self.link_failures += other.link_failures;
+        self.pool.fresh = self.pool.fresh.max(other.pool.fresh);
+        self.pool.recycled = self.pool.recycled.max(other.pool.recycled);
+        self.pool.high_water = self.pool.high_water.max(other.pool.high_water);
+    }
 }
 
 /// Raw-wire ↔ logical id translation for one node's outbound plane. The
@@ -286,198 +283,115 @@ impl IdMap {
     }
 }
 
-fn to_wire(msg: &NodeMsg) -> WireMsg {
-    match msg {
-        NodeMsg::Model { step, params } => WireMsg::Model {
-            step: *step,
-            params: params.clone(),
-        },
-        NodeMsg::Gradient { step, grad } => WireMsg::Gradient {
-            step: *step,
-            grad: grad.clone(),
-        },
-        NodeMsg::Exchange { step, params } => WireMsg::Exchange {
-            step: *step,
-            params: params.clone(),
-        },
-    }
-}
-
-fn to_node(msg: WireMsg) -> NodeMsg {
-    match msg {
-        WireMsg::Model { step, params } => NodeMsg::Model { step, params },
-        WireMsg::Gradient { step, grad } => NodeMsg::Gradient { step, grad },
-        WireMsg::Exchange { step, params } => NodeMsg::Exchange { step, params },
-    }
-}
-
 /// Whether two outbound messages carry the same payload (a machine
 /// broadcasting clones one tensor per receiver — a refcount bump, so
 /// storage identity detects the fan-out).
 fn same_payload(a: &NodeMsg, b: &NodeMsg) -> bool {
-    match (a, b) {
-        (
-            NodeMsg::Model {
-                step: s1,
-                params: p1,
-            },
-            NodeMsg::Model {
-                step: s2,
-                params: p2,
-            },
-        )
-        | (
-            NodeMsg::Exchange {
-                step: s1,
-                params: p1,
-            },
-            NodeMsg::Exchange {
-                step: s2,
-                params: p2,
-            },
-        )
-        | (NodeMsg::Gradient { step: s1, grad: p1 }, NodeMsg::Gradient { step: s2, grad: p2 }) => {
-            s1 == s2 && p1.shares_storage(p2)
-        }
-        _ => false,
-    }
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+        && a.step() == b.step()
+        && a.vector().shares_storage(b.vector())
 }
 
-/// Puts a machine's queued sends on the wire. Consecutive sends sharing
-/// one payload (a machine-level broadcast) are coalesced into a single
-/// transport broadcast so the frame is encoded once for all receivers.
-fn flush_sends(net: &mut dyn Transport, map: IdMap, sends: &[(usize, NodeMsg)]) {
-    let mut i = 0;
-    while i < sends.len() {
-        let mut targets = vec![map.raw(sends[i].0)];
-        let mut j = i + 1;
-        while j < sends.len() && same_payload(&sends[i].1, &sends[j].1) {
-            targets.push(map.raw(sends[j].0));
-            j += 1;
-        }
-        net.broadcast(&targets, &to_wire(&sends[i].1));
-        i = j;
-    }
-}
-
-/// Splits a machine's outputs into sends (flushed to the wire) and the
-/// rest, bumping the run counters for completed steps and recoveries.
-fn drive_outputs(
-    out: &mut Vec<Output>,
-    net: &mut dyn Transport,
-    map: IdMap,
-    records: &mut Vec<StepRecord>,
-    counters: &SoakCounters,
+/// One node thread's side of the run: its endpoint, the run-wide flags
+/// and counters, and the step records it collects.
+struct Link {
+    net: Box<dyn Transport>,
+    done: Arc<AtomicBool>,
+    counters: Arc<SoakCounters>,
+    /// Whether this node's completed steps tick the live round counter.
     count_rounds: bool,
-) -> Vec<(u64, Tensor)> {
-    let mut sends: Vec<(usize, NodeMsg)> = Vec::new();
-    let mut requests = Vec::new();
-    for o in out.drain(..) {
-        match o {
-            Output::Send { to, msg } => sends.push((to, msg)),
-            Output::Step(r) => {
-                records.push(r);
-                if count_rounds {
-                    counters.rounds.fetch_add(1, Ordering::Relaxed);
+    records: Vec<StepRecord>,
+}
+
+impl Link {
+    /// Blocks for the next frame; `None` once the run is flagged done or
+    /// the transport has closed.
+    fn recv(&mut self) -> Option<Incoming> {
+        loop {
+            if self.done.load(Ordering::Relaxed) {
+                return None;
+            }
+            match self.net.recv_timeout(POLL) {
+                Ok(frame) => return Some(frame),
+                Err(RecvError::Timeout) => {}
+                Err(RecvError::Closed) => return None,
+            }
+        }
+    }
+
+    /// Acts on a machine's outputs: sends go on the wire, completed steps
+    /// and recoveries into the records and run counters; the gradient
+    /// requests are handed back. Consecutive sends sharing one payload (a
+    /// machine-level broadcast) are coalesced into a single transport
+    /// broadcast so the frame is encoded once for all receivers.
+    fn drive(&mut self, map: IdMap, out: &mut Vec<Output>) -> Vec<(u64, Tensor)> {
+        let mut sends: Vec<(usize, NodeMsg)> = Vec::new();
+        let mut requests = Vec::new();
+        for o in out.drain(..) {
+            match o {
+                Output::Send { to, msg } => sends.push((to, msg)),
+                Output::Step(r) => {
+                    self.records.push(r);
+                    if self.count_rounds {
+                        self.counters.rounds.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
+                Output::Recovered { .. } => {
+                    self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
+                }
+                Output::NeedGradient { step, model } => requests.push((step, model)),
             }
-            Output::Recovered { .. } => {
-                counters.recoveries.fetch_add(1, Ordering::Relaxed);
-            }
-            Output::NeedGradient { step, model } => requests.push((step, model)),
         }
+        let mut i = 0;
+        while i < sends.len() {
+            let mut targets = vec![map.raw(sends[i].0)];
+            let mut j = i + 1;
+            while j < sends.len() && same_payload(&sends[i].1, &sends[j].1) {
+                targets.push(map.raw(sends[j].0));
+                j += 1;
+            }
+            self.net.broadcast(&targets, &sends[i].1);
+            i = j;
+        }
+        requests
     }
-    flush_sends(net, map, &sends);
-    requests
+
+    /// Tears the endpoint down and hands back what the thread collected.
+    fn close(mut self) -> (Vec<StepRecord>, NetStats) {
+        self.net.shutdown();
+        let stats = NetStats::collect(self.net.as_ref());
+        (self.records, stats)
+    }
 }
 
-fn server_thread(
-    mut machine: ServerMachine,
-    map: IdMap,
-    mut net: Box<dyn Transport>,
-    done: Arc<AtomicBool>,
-    counters: Arc<SoakCounters>,
-    count_rounds: bool,
-) -> (Tensor, u64, Vec<StepRecord>, NetStats) {
-    let mut records = Vec::new();
+/// The node thread of every single-machine role (honest server,
+/// Byzantine server, Byzantine worker): decode, feed the machine, put its
+/// outputs on the wire. An honest server leaves when its machine halts;
+/// the Byzantine machines never halt and leave when the run is done.
+fn node_thread(mut node: Node, map: IdMap, mut link: Link) -> (Node, Vec<StepRecord>, NetStats) {
     let mut out = Vec::new();
-    machine.on_start(&mut out);
-    drive_outputs(
-        &mut out,
-        net.as_mut(),
-        map,
-        &mut records,
-        &counters,
-        count_rounds,
-    );
-    while !machine.halted() {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        let frame = match net.recv_timeout(POLL) {
-            Ok(f) => f,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Closed) => break,
-        };
-        let msg = match decode(&frame.payload) {
-            Ok(m) => m,
-            Err(_) => continue, // malformed frame: necessarily Byzantine, drop
-        };
-        machine.on_message(map.logical(frame.from), &to_node(msg), &mut out);
-        drive_outputs(
-            &mut out,
-            net.as_mut(),
-            map,
-            &mut records,
-            &counters,
-            count_rounds,
-        );
-    }
-    net.shutdown();
-    let stats = NetStats::collect(net.as_ref());
-    (machine.params().clone(), machine.step(), records, stats)
-}
-
-fn byzantine_server_thread(
-    mut machine: ByzServerMachine,
-    map: IdMap,
-    mut net: Box<dyn Transport>,
-    done: Arc<AtomicBool>,
-    counters: Arc<SoakCounters>,
-) -> NetStats {
-    let mut records = Vec::new();
-    let mut out = Vec::new();
-    machine.on_start(&mut out);
-    drive_outputs(&mut out, net.as_mut(), map, &mut records, &counters, false);
-    loop {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        let frame = match net.recv_timeout(POLL) {
-            Ok(f) => f,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Closed) => break,
-        };
+    node.on_start(&mut out);
+    link.drive(map, &mut out);
+    while !node.halted() {
+        let Some(frame) = link.recv() else { break };
         let Ok(msg) = decode(&frame.payload) else {
-            continue;
+            continue; // malformed frame: necessarily Byzantine, drop
         };
-        machine.on_message(map.logical(frame.from), &to_node(msg), &mut out);
-        drive_outputs(&mut out, net.as_mut(), map, &mut records, &counters, false);
+        node.on_message(map.logical(frame.from), &msg, &mut out);
+        link.drive(map, &mut out);
     }
-    net.shutdown();
-    NetStats::collect(net.as_ref())
+    let (records, stats) = link.close();
+    (node, records, stats)
 }
 
 /// The honest-worker data pipeline: one machine per shard group, one
-/// model/batcher pair shared across the groups. A gradient is computed
-/// once per step — when every group's machine has folded its model slice —
-/// and scattered back to the groups as per-range slices.
+/// gradient source shared across the groups. A gradient is computed once
+/// per step — when every group's machine has folded its model slice — and
+/// scattered back to the groups as per-range slices.
 struct WorkerPipeline {
     machines: Vec<WorkerMachine>,
     plan: ShardPlan,
-    model: Sequential,
-    batcher: Batcher,
-    train: Arc<Dataset>,
+    source: GradientSource,
     /// Folded model slices awaiting the full set, per step: `pending[step][g]`.
     pending: HashMap<u64, Vec<Option<Tensor>>>,
 }
@@ -538,7 +452,7 @@ impl WorkerPipeline {
             }
             Tensor::from_flat(flat)
         };
-        let grad = self.compute(&view);
+        let grad = self.source.compute(&view).ok();
         for (g, out) in out_by_group.iter_mut().enumerate() {
             let slice = match &grad {
                 Some(full) if shards == 1 => full.clone(),
@@ -552,29 +466,12 @@ impl WorkerPipeline {
             self.machines[g].gradient_ready(step, slice, out);
         }
     }
-
-    fn compute(&mut self, view: &Tensor) -> Option<Tensor> {
-        self.model.set_param_vector(view).ok()?;
-        self.model.zero_grads();
-        let (x, labels) = self.batcher.next_batch(&self.train).ok()?;
-        let logits = self.model.forward(&x, true).ok()?;
-        let (_, dl) = softmax_cross_entropy(&logits, &labels).ok()?;
-        self.model.backward(&dl).ok()?;
-        Some(self.model.grad_vector())
-    }
 }
 
-fn worker_thread(
-    mut pipe: WorkerPipeline,
-    maps: Vec<IdMap>,
-    mut net: Box<dyn Transport>,
-    done: Arc<AtomicBool>,
-    counters: Arc<SoakCounters>,
-) -> NetStats {
+fn worker_thread(mut pipe: WorkerPipeline, maps: Vec<IdMap>, mut link: Link) -> NetStats {
     let shards = pipe.machines.len();
     let replicas = maps[0].replicas;
     let plane = maps[0].plane;
-    let mut records = Vec::new(); // workers emit no Step records
     let mut outs: Vec<Vec<Output>> = vec![Vec::new(); shards];
     for (machine, out) in pipe.machines.iter_mut().zip(&mut outs) {
         machine.on_start(out);
@@ -588,14 +485,7 @@ fn worker_thread(
             pipe.resolve(&mut outs);
             let mut inserted = false;
             for g in 0..shards {
-                for (t, model) in drive_outputs(
-                    &mut outs[g],
-                    net.as_mut(),
-                    maps[g],
-                    &mut records,
-                    &counters,
-                    false,
-                ) {
+                for (t, model) in link.drive(maps[g], &mut outs[g]) {
                     pipe.pending.entry(t).or_insert_with(|| vec![None; shards])[g] = Some(model);
                     inserted = true;
                 }
@@ -606,14 +496,7 @@ fn worker_thread(
         }
         // The worker keeps draining (and discarding) frames after it halts
         // so late server broadcasts never hit a closed endpoint.
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        let frame = match net.recv_timeout(POLL) {
-            Ok(f) => f,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Closed) => break,
-        };
+        let Some(frame) = link.recv() else { break };
         // Model slices are dispatched to their shard group's machine
         // (group = sender's position in the server plane); anything else
         // is not addressed to an honest worker.
@@ -627,38 +510,9 @@ fn worker_thread(
         let Ok(msg) = decode(&frame.payload) else {
             continue;
         };
-        pipe.machines[g].on_message(maps[g].logical(frame.from), &to_node(msg), &mut outs[g]);
+        pipe.machines[g].on_message(maps[g].logical(frame.from), &msg, &mut outs[g]);
     }
-    net.shutdown();
-    NetStats::collect(net.as_ref())
-}
-
-fn byzantine_worker_thread(
-    mut machine: ByzWorkerMachine,
-    map: IdMap,
-    mut net: Box<dyn Transport>,
-    done: Arc<AtomicBool>,
-    counters: Arc<SoakCounters>,
-) -> NetStats {
-    let mut records = Vec::new();
-    let mut out = Vec::new();
-    loop {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        let frame = match net.recv_timeout(POLL) {
-            Ok(f) => f,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Closed) => break,
-        };
-        let Ok(msg) = decode(&frame.payload) else {
-            continue;
-        };
-        machine.on_message(map.logical(frame.from), &to_node(msg), &mut out);
-        drive_outputs(&mut out, net.as_mut(), map, &mut records, &counters, false);
-    }
-    net.shutdown();
-    NetStats::collect(net.as_ref())
+    link.close().1
 }
 
 /// Builds one endpoint per node on the configured interconnect. The TCP
@@ -734,107 +588,90 @@ pub fn run_cluster_with(
             "Byzantine workers are not supported on a sharded gradient plane".into(),
         ));
     }
-    let spec = MachineSpec::new(cfg.machine_config())?;
-
-    let mut rng = TensorRng::new(cfg.seed);
-    let mut init_rng = rng.fork(0xA11);
-    let theta0 = model_builder(&mut init_rng).param_vector();
-    let dim = theta0.len();
-    let plan = ShardPlan::even(dim, cfg.shards)
+    let train = Arc::new(train);
+    let plant = Plant::new(
+        cfg.machine_config(),
+        cfg.batch_size,
+        model_builder,
+        |honest_workers| Ok(vec![train; honest_workers]),
+    )?;
+    let plan = ShardPlan::even(plant.dim(), cfg.shards)
         .map_err(|e| GuanYuError::InvalidConfig(format!("shard plan: {e}")))?;
     let shards = plan.shards();
     let n = cfg.cluster.servers;
     let plane = shards * n;
-    let honest_servers = n - cfg.actual_byz_servers;
+    let honest_servers = plant.spec.cfg.honest_servers();
+    let honest_workers = plant.spec.cfg.honest_workers();
+    // Every group's machines before any thread starts: a failed build
+    // must not leave node threads behind.
+    let rosters = plan
+        .ranges()
+        .map(|range| plant.roster(range))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut endpoints = build_endpoints(cfg)?.into_iter();
     let done = Arc::new(AtomicBool::new(false));
-    let train = Arc::new(train);
-    let decorate = |id: usize, net: Box<dyn Transport>| match &hooks.wrap {
-        Some(wrap) => wrap(id, net),
-        None => net,
-    };
-
-    let start = Instant::now();
-    let mut server_handles = Vec::new();
-    let mut byz_server_handles = Vec::new();
-    for g in 0..shards {
-        let range = plan.range(g);
-        // Zero-copy view of the group's slice of θ₀, materialised once per
-        // group and refcount-cloned to its replicas.
-        let theta_g = theta0
-            .shard_view(range.clone())
-            .expect("plan ranges are in bounds")
-            .to_tensor();
-        let map = IdMap {
-            group: g,
-            replicas: n,
-            plane,
-        };
-        for r in 0..n {
-            let id = g * n + r;
-            let net = decorate(id, endpoints.next().expect("one endpoint per node"));
-            let done = Arc::clone(&done);
-            let counters = Arc::clone(&hooks.counters);
-            if r < honest_servers {
-                let gar = cfg
-                    .server_gar
-                    .build(cfg.cluster.krum_f())
-                    .map_err(|e| GuanYuError::InvalidConfig(e.to_string()))?;
-                let machine =
-                    ServerMachine::new(Arc::clone(&spec), r, theta_g.clone(), range.start, gar);
-                let count_rounds = id == 0;
-                server_handles.push(std::thread::spawn(move || {
-                    server_thread(machine, map, net, done, counters, count_rounds)
-                }));
-            } else {
-                let machine = ByzServerMachine::new(Arc::clone(&spec), r, range.len());
-                byz_server_handles.push(std::thread::spawn(move || {
-                    byzantine_server_thread(machine, map, net, done, counters)
-                }));
-            }
+    // Called once per node, in wire-id order (servers first, then workers).
+    let mut link = |id: usize| {
+        let net = endpoints.next().expect("one endpoint per node");
+        Link {
+            net: match &hooks.wrap {
+                Some(wrap) => wrap(id, net),
+                None => net,
+            },
+            done: Arc::clone(&done),
+            counters: Arc::clone(&hooks.counters),
+            count_rounds: id == 0,
+            records: Vec::new(),
         }
-    }
-    let honest_workers = cfg.cluster.workers - cfg.actual_byz_workers;
-    let mut worker_handles = Vec::new();
+    };
     let maps: Vec<IdMap> = (0..shards)
-        .map(|g| IdMap {
-            group: g,
+        .map(|group| IdMap {
+            group,
             replicas: n,
             plane,
         })
         .collect();
-    for w in 0..cfg.cluster.workers {
-        let id = plane + w;
-        let net = decorate(id, endpoints.next().expect("one endpoint per node"));
-        let done = Arc::clone(&done);
-        let counters = Arc::clone(&hooks.counters);
-        if w < honest_workers {
-            let mut worker_rng = rng.fork(0xB0B + w as u64);
-            let model = model_builder(&mut worker_rng);
-            let batcher = Batcher::new(train.len(), cfg.batch_size, cfg.seed ^ (w as u64) << 17);
-            let machines: Vec<WorkerMachine> = (0..shards)
-                .map(|g| WorkerMachine::new(Arc::clone(&spec), n + w, plan.range(g).len()))
-                .collect();
-            let pipe = WorkerPipeline {
-                machines,
-                plan: plan.clone(),
-                model,
-                batcher,
-                train: Arc::clone(&train),
-                pending: HashMap::new(),
-            };
-            let maps = maps.clone();
-            worker_handles.push(std::thread::spawn(move || {
-                worker_thread(pipe, maps, net, done, counters)
-            }));
-        } else {
-            let machine = ByzWorkerMachine::new(Arc::clone(&spec), w);
-            let map = maps[0];
-            worker_handles.push(std::thread::spawn(move || {
-                byzantine_worker_thread(machine, map, net, done, counters)
-            }));
+
+    let start = Instant::now();
+    let mut server_handles = Vec::new();
+    let mut byz_handles = Vec::new();
+    // Worker `w`'s machines, one per shard group; Byzantine workers exist
+    // on an unsharded plane only.
+    let mut worker_machines: Vec<Vec<WorkerMachine>> =
+        (0..honest_workers).map(|_| Vec::new()).collect();
+    let mut byz_workers = Vec::new();
+    for (g, mut roster) in rosters.into_iter().enumerate() {
+        for (w, node) in roster.split_off(n).into_iter().enumerate() {
+            match node {
+                Node::Worker(machine) => worker_machines[w].push(machine),
+                byz => byz_workers.push(byz),
+            }
         }
+        for (r, node) in roster.into_iter().enumerate() {
+            let (map, link) = (maps[g], link(g * n + r));
+            let handle = std::thread::spawn(move || node_thread(node, map, link));
+            if r < honest_servers {
+                server_handles.push(handle);
+            } else {
+                byz_handles.push(handle);
+            }
+        }
+    }
+    let mut worker_handles = Vec::new();
+    for (w, (machines, source)) in worker_machines.into_iter().zip(plant.sources).enumerate() {
+        let pipe = WorkerPipeline {
+            machines,
+            plan: plan.clone(),
+            source,
+            pending: HashMap::new(),
+        };
+        let (maps, link) = (maps.clone(), link(plane + w));
+        worker_handles.push(std::thread::spawn(move || worker_thread(pipe, maps, link)));
+    }
+    for (b, node) in byz_workers.into_iter().enumerate() {
+        let (map, link) = (maps[0], link(plane + honest_workers + b));
+        byz_handles.push(std::thread::spawn(move || node_thread(node, map, link)));
     }
 
     // Join servers with a wall timeout (a stalled Byzantine-heavy run must
@@ -842,20 +679,19 @@ pub fn run_cluster_with(
     let mut raw_params = Vec::with_capacity(server_handles.len());
     let mut raw_steps = Vec::with_capacity(server_handles.len());
     let mut records = Vec::new();
-    let mut dropped_sends = 0u64;
-    let mut link_failures = 0u64;
-    let mut pool = PoolStats::default();
+    let mut net = NetStats::default();
     let mut timed_out = false;
     for h in server_handles {
         loop {
             if h.is_finished() {
-                let (params, step, recs, stats) = h.join().expect("server thread panicked");
-                raw_params.push(params);
-                raw_steps.push(step);
+                let (node, recs, stats) = h.join().expect("server thread panicked");
+                let Node::Server(machine) = node else {
+                    unreachable!("server handles hold honest servers");
+                };
+                raw_params.push(machine.params().clone());
+                raw_steps.push(machine.step());
                 records.extend(recs);
-                dropped_sends += stats.dropped;
-                link_failures += stats.link_failures;
-                fold_pool(&mut pool, stats.pool);
+                net.absorb(stats);
                 break;
             }
             if timed_out || start.elapsed() > cfg.wall_timeout {
@@ -868,17 +704,20 @@ pub fn run_cluster_with(
         }
     }
     done.store(true, Ordering::Relaxed);
-    for h in byz_server_handles.into_iter().chain(worker_handles) {
+    for h in byz_handles {
+        if let Ok((_, _, stats)) = h.join() {
+            net.absorb(stats);
+        }
+    }
+    for h in worker_handles {
         if let Ok(stats) = h.join() {
-            dropped_sends += stats.dropped;
-            link_failures += stats.link_failures;
-            fold_pool(&mut pool, stats.pool);
+            net.absorb(stats);
         }
     }
     hooks
         .counters
         .dropped_sends
-        .fetch_add(dropped_sends, Ordering::Relaxed);
+        .fetch_add(net.dropped, Ordering::Relaxed);
     if timed_out {
         return Err(GuanYuError::InvalidConfig(format!(
             "run exceeded wall timeout of {:?}",
@@ -917,9 +756,9 @@ pub fn run_cluster_with(
         updates,
         wall_secs: start.elapsed().as_secs_f64(),
         trace: node::assemble_trace(&records),
-        dropped_sends,
-        link_failures,
-        pool,
+        dropped_sends: net.dropped,
+        link_failures: net.link_failures,
+        pool: net.pool,
     })
 }
 

@@ -17,18 +17,21 @@
 //! Either way, every model and gradient really is serialised to bytes and
 //! parsed back on the receiving side, so the serialization path the
 //! paper's §5.3 blames for its low-level-runtime overhead is genuinely
-//! exercised (and measured by the `serialization` Criterion bench) — and
-//! on TCP the bytes additionally cross the kernel's socket stack. At full
+//! exercised (and measured by `perf`'s `runtime.wire.encode_ms` /
+//! `decode_ms`) — and on TCP the bytes additionally cross the kernel's
+//! socket stack. The message the codec carries, [`WireMsg`], is the node
+//! machines' own `guanyu::node::NodeMsg`. At full
 //! quorums both transports produce bit-identical runs and bit-identical
 //! [`guanyu::trace::Trace`] digests, the cross-transport consistency
 //! contract `tests/engines_consistency.rs` pins.
 //!
 //! With [`RuntimeConfig::shards`] > 1 the run uses the *sharded gradient
 //! plane* (DESIGN.md §9): the parameter vector splits into contiguous
-//! ranges, each owned by its own group of server replicas; workers
-//! scatter per-range gradient slices ([`Transport::broadcast_range`]) and
-//! gather per-range model slices, and at full quorums the run stays
-//! bit-identical to the unsharded one.
+//! ranges, each owned by its own group of server replicas; a worker
+//! runs one machine per group, gathers their per-range model views into
+//! one forward/backward pass and scatters the gradient back as per-range
+//! slices, and at full quorums the run stays bit-identical to the
+//! unsharded one.
 //!
 //! Scope note: the threaded runtime supports Byzantine *workers* (the
 //! attacks that forge from observed traffic); fully-omniscient server

@@ -53,84 +53,16 @@ pub const MAX_ELEMS: u32 = 1 << 26;
 /// length prefix, before buffering).
 pub const MAX_FRAME_BYTES: usize = HEADER + MAX_ELEMS as usize * 4;
 
-/// A decoded protocol message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireMsg {
-    /// Server → workers: model for `step`.
-    Model {
-        /// Training step.
-        step: u64,
-        /// Flat parameter vector.
-        params: Tensor,
-    },
-    /// Worker → servers: gradient for `step`.
-    Gradient {
-        /// Training step.
-        step: u64,
-        /// Flat gradient vector.
-        grad: Tensor,
-    },
-    /// Server → servers: exchange model for `step`.
-    Exchange {
-        /// Training step.
-        step: u64,
-        /// Flat parameter vector.
-        params: Tensor,
-    },
-}
+/// The protocol message the codec carries — the node machines' own message
+/// type, so a decoded frame feeds a machine (and a machine's send reaches
+/// the wire) without translation.
+pub use guanyu::node::NodeMsg as WireMsg;
 
-impl WireMsg {
-    /// The step the message belongs to.
-    pub fn step(&self) -> u64 {
-        match self {
-            WireMsg::Model { step, .. }
-            | WireMsg::Gradient { step, .. }
-            | WireMsg::Exchange { step, .. } => *step,
-        }
-    }
-
-    /// The carried vector.
-    pub fn vector(&self) -> &Tensor {
-        match self {
-            WireMsg::Model { params, .. } | WireMsg::Exchange { params, .. } => params,
-            WireMsg::Gradient { grad, .. } => grad,
-        }
-    }
-
-    fn tag(&self) -> u8 {
-        match self {
-            WireMsg::Model { .. } => TAG_MODEL,
-            WireMsg::Gradient { .. } => TAG_GRADIENT,
-            WireMsg::Exchange { .. } => TAG_EXCHANGE,
-        }
-    }
-
-    /// A copy of the message carrying only coordinates `range` of its
-    /// vector. This is the *materialising* fallback behind
-    /// [`Transport::broadcast_range`](crate::Transport::broadcast_range) —
-    /// the concrete transports skip it and encode the range straight off
-    /// the original buffer via [`encode_range_shared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `range` does not fit the carried vector.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> WireMsg {
-        let data = self.vector().as_slice()[range].to_vec();
-        let t = Tensor::from_flat(data);
-        match self {
-            WireMsg::Model { step, .. } => WireMsg::Model {
-                step: *step,
-                params: t,
-            },
-            WireMsg::Gradient { step, .. } => WireMsg::Gradient {
-                step: *step,
-                grad: t,
-            },
-            WireMsg::Exchange { step, .. } => WireMsg::Exchange {
-                step: *step,
-                params: t,
-            },
-        }
+fn tag(msg: &WireMsg) -> u8 {
+    match msg {
+        WireMsg::Model { .. } => TAG_MODEL,
+        WireMsg::Gradient { .. } => TAG_GRADIENT,
+        WireMsg::Exchange { .. } => TAG_EXCHANGE,
     }
 }
 
@@ -186,7 +118,7 @@ fn encode_parts(tag: u8, step: u64, data: &[f32], buf: &mut Vec<u8>) {
 /// message's borrowed tensor buffer. Returns nothing; `buf` holds exactly
 /// one frame afterwards.
 pub fn encode_into(msg: &WireMsg, buf: &mut Vec<u8>) {
-    encode_parts(msg.tag(), msg.step(), msg.vector().as_slice(), buf);
+    encode_parts(tag(msg), msg.step(), msg.vector().as_slice(), buf);
 }
 
 /// Encodes coordinates `range` of the message's vector into `buf` — the
@@ -200,7 +132,7 @@ pub fn encode_into(msg: &WireMsg, buf: &mut Vec<u8>) {
 ///
 /// Panics when `range` does not fit the carried vector.
 pub fn encode_range_into(msg: &WireMsg, range: std::ops::Range<usize>, buf: &mut Vec<u8>) {
-    encode_parts(msg.tag(), msg.step(), &msg.vector().as_slice()[range], buf);
+    encode_parts(tag(msg), msg.step(), &msg.vector().as_slice()[range], buf);
 }
 
 /// Encodes a message into a fresh frame.
@@ -217,11 +149,7 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
 /// costs one encode + one shared allocation however many receivers fan
 /// out.
 pub fn encode_shared(msg: &WireMsg, pool: &BufPool) -> Arc<[u8]> {
-    let mut scratch = pool.get();
-    encode_into(msg, &mut scratch);
-    let frame: Arc<[u8]> = scratch.as_slice().into();
-    pool.put(scratch);
-    frame
+    encode_range_shared(msg, 0..msg.len(), pool)
 }
 
 /// [`encode_range_into`] through a recycled pool scratch buffer into an

@@ -9,6 +9,7 @@
 use std::io::{IoSlice, Write};
 use std::sync::Arc;
 
+use guanyu::node::NodeMsg;
 use guanyu_runtime::{
     decode, encode, prefix_frame, write_frames, StreamDecoder, WireMsg, MAX_FRAME_BYTES,
 };
@@ -86,15 +87,30 @@ proptest! {
         let _ = decode(&bytes); // must not panic
     }
 
-    /// Every encodable message round-trips exactly.
+    /// Every encodable message round-trips exactly — including one built
+    /// as the node machines build it: the codec's message *is*
+    /// `guanyu::node::NodeMsg`, so what a machine sends is what the peer's
+    /// machine is fed, with no translation in between.
     #[test]
     fn roundtrip(
         tag in 0u8..3,
         step in any::<u64>(),
         payload in proptest::collection::vec(-1e6f32..1e6, 0..64),
+        from_machine in any::<bool>(),
     ) {
-        let msg = build_msg(tag, step, payload);
-        let back = decode(&encode(&msg)).unwrap();
+        let msg = if from_machine {
+            let t = Tensor::from_flat(payload);
+            match tag {
+                0 => NodeMsg::Model { step, params: t },
+                1 => NodeMsg::Gradient { step, grad: t },
+                _ => NodeMsg::Exchange { step, params: t },
+            }
+        } else {
+            build_msg(tag, step, payload)
+        };
+        let back: NodeMsg = decode(&encode(&msg)).unwrap();
+        prop_assert_eq!(back.step(), step);
+        prop_assert_eq!(back.vector().as_slice(), msg.vector().as_slice());
         prop_assert_eq!(back, msg);
     }
 

@@ -11,8 +11,11 @@
 //! * [`aggregation`] — robust gradient aggregation rules (S4)
 //! * [`simnet`] — deterministic asynchronous network simulator (S5)
 //! * [`byzantine`] — attack implementations (S6)
-//! * [`guanyu`] — the GuanYu protocol, baselines and experiment harness (S7)
-//! * [`guanyu_runtime`] — threaded deployment over real channels (S8)
+//! * [`guanyu`] — the GuanYu protocol: the node machines, the node plant
+//!   they start from, the lockstep and event-driven drivers, baselines
+//!   and the experiment harness (S7)
+//! * [`guanyu_runtime`] — the threaded driver over channels or TCP, and
+//!   the wire codec for the machines' messages (S8)
 //! * [`scenario`] — declarative fault-injection scenarios and the
 //!   deterministic cross-engine trace checker (DESIGN.md §6)
 

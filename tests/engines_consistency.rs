@@ -213,6 +213,8 @@ fn tcp_engine_matches_channel_engine_trace_for_trace() {
     }
     assert_eq!(chan.dropped_sends, 0, "clean channel run dropped sends");
     assert_eq!(tcp.dropped_sends, 0, "clean TCP run dropped sends");
+    assert_eq!(chan.link_failures, 0, "clean channel run severed links");
+    assert_eq!(tcp.link_failures, 0, "clean TCP run severed links");
 }
 
 /// Sharding is a deployment choice, not a semantics choice: for every

@@ -63,6 +63,28 @@ fn incast_under_oversubscription_keeps_invariants() {
     );
     assert!(report.finishers >= report.min_finishers);
     assert!(report.agreement_diameter <= report.scale);
+
+    // The same queues at full bisection bandwidth: thinning the core is
+    // what costs — overflows grow with oversubscription, and from a clean
+    // baseline they cost simulated time too.
+    let line_rate = run_event(&scn.clone().with_network(NetworkModel::Switched {
+        oversubscription: 1.0,
+        queue_bytes: 64 * 1024,
+        link_bw: 1.25e9,
+    }))
+    .unwrap();
+    assert!(
+        report.queue_drops > line_rate.queue_drops,
+        "contention did not grow: {} drops at 8:1 vs {} at 1:1",
+        report.queue_drops,
+        line_rate.queue_drops
+    );
+    if line_rate.queue_drops == 0 {
+        assert!(
+            report.sim_secs >= line_rate.sim_secs,
+            "throughput did not degrade from a clean baseline"
+        );
+    }
 }
 
 /// Congestion plus a server crash: the crash turns fabric drops
