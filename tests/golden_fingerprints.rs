@@ -6,21 +6,31 @@
 //! all. The values below were recorded once, on the code as it stood
 //! before the drivers were collapsed onto the shared node plant, and must
 //! never change: a refactor of the drivers is held to "same fingerprints",
-//! not merely "engines still agree".
+//! not merely "engines still agree". The arrival-mode event-engine entries
+//! were added the same way before the machines' two fold paths became one
+//! (recorded on the two-path code, unchanged since).
 //!
 //! Re-recording is only legitimate for a deliberate semantics change (a
 //! new planner rule, a new seed derivation); the failure message prints
 //! the observed value.
 
+use std::cell::RefCell;
 use std::path::Path;
+use std::rc::Rc;
 use std::time::Duration;
 
+use byzantine::AttackKind;
 use data::{synthetic_cifar, SyntheticConfig};
 use guanyu::config::ClusterConfig;
+use guanyu::cost::CostModel;
+use guanyu::faults::FaultSchedule;
+use guanyu::node::QuorumMode;
+use guanyu::protocol::{build_simulation, ProtocolConfig, Recorder};
 use guanyu::trace::positional_digest;
 use guanyu_runtime::{run_cluster, RuntimeConfig, TransportKind};
-use nn::models;
+use nn::{models, LrSchedule};
 use scenario::{Scenario, ScenarioFile};
+use simnet::{DelayModel, FaultPlan, NodeId, SimTime};
 
 /// Planned-mode trace fingerprint of every `scenario::matrix(40)` entry.
 const MATRIX: [(&str, u64); 10] = [
@@ -152,4 +162,159 @@ fn threaded_arrival_run_is_pinned_on_every_transport_and_shard_count() {
             got.0, got.1
         );
     }
+}
+
+/// Arrival-mode event-engine runs at the default partial quorums
+/// (6/1/9/2 ⇒ q = 5 of 6, q̄ = 7 of 9): `(trace fingerprint, positional digest of
+/// server 0's final parameters)`. Membership here is the first `q`
+/// arrivals under the seeded delay model, folded sender-sorted, so these
+/// pin first-`q` selection, fold order and newest-quorate recovery — which
+/// `seed_stability` only ever compares with themselves.
+const EVENT_ARRIVAL_HONEST: (u64, u64) = (0x9119_a4ae_592d_1fff, 0x49d1_f08a_96c3_ec11);
+const EVENT_ARRIVAL_BYZANTINE: (u64, u64) = (0xd909_05e1_c133_0fa3, 0x1daa_ef98_51da_4dd7);
+const EVENT_ARRIVAL_RECOVERY: (u64, u64) = (0x273e_5a7d_5c5c_04c4, 0xc24f_8003_4822_678e);
+const EVENT_ARRIVAL_SINGLE_SERVER: (u64, u64) = (0xc8c0_b0df_7cf7_d6a0, 0x83e7_0307_4b3d_2d4a);
+
+/// The recovery case's crash window in simulated seconds: a fault-free
+/// round takes ≈ 0.7 ms at this shape, so server 1 is cut off from early
+/// in step 2 until step 5 is under way.
+const CRASH_FROM_SECS: f64 = 0.0015;
+const CRASH_UNTIL_SECS: f64 = 0.0036;
+
+fn event_arrival_cfg(max_steps: u64) -> ProtocolConfig {
+    ProtocolConfig {
+        cluster: ClusterConfig::new(6, 1, 9, 2).unwrap(),
+        max_steps,
+        lr: LrSchedule::constant(0.05),
+        server_gar: aggregation::GarKind::MultiKrum,
+        cost: CostModel::guanyu(),
+        batch_size: 8,
+        actual_byz_workers: 0,
+        worker_attack: None,
+        actual_byz_servers: 0,
+        server_attack: None,
+        worker_attack_windows: Vec::new(),
+        server_attack_windows: Vec::new(),
+        recovery: false,
+        mode: QuorumMode::Arrival,
+        faults: FaultSchedule::none(),
+    }
+}
+
+/// Runs `cfg` on the event engine (seed 77, grid5000 delays, `plan`
+/// installed) and returns the recorder.
+fn run_event_arrival(cfg: &ProtocolConfig, plan: FaultPlan) -> Rc<RefCell<Recorder>> {
+    let (train, _) = synthetic_cifar(&SyntheticConfig {
+        train: 64,
+        test: 0,
+        side: 8,
+        seed: 77,
+        ..Default::default()
+    })
+    .unwrap();
+    let (sim, rec) = build_simulation(
+        cfg,
+        |rng| models::small_cnn(8, 2, 10, rng),
+        train,
+        77,
+        DelayModel::grid5000(),
+    )
+    .unwrap();
+    sim.with_faults(plan).run();
+    rec
+}
+
+fn pinned(rec: &Recorder) -> (u64, u64) {
+    (
+        rec.trace().fingerprint(),
+        positional_digest(0, rec.final_params()[0].as_slice()),
+    )
+}
+
+fn assert_pinned(case: &str, got: (u64, u64), want: (u64, u64)) {
+    assert_eq!(got, want, "{case}: got ({:#018x}, {:#018x})", got.0, got.1);
+}
+
+#[test]
+fn event_arrival_honest_run_is_pinned() {
+    let rec = run_event_arrival(&event_arrival_cfg(6), FaultPlan::none());
+    let rec = rec.borrow();
+    assert_eq!(rec.updates, 36, "6 servers × 6 steps");
+    assert!(
+        rec.records
+            .iter()
+            .all(|r| r.grad_quorum.len() == 7 && r.exch_quorum.len() == 5),
+        "every fold is a partial quorum"
+    );
+    assert_pinned("honest", pinned(&rec), EVENT_ARRIVAL_HONEST);
+}
+
+#[test]
+fn event_arrival_byzantine_run_is_pinned() {
+    let mut cfg = event_arrival_cfg(6);
+    cfg.actual_byz_servers = 1;
+    cfg.server_attack = Some(AttackKind::Equivocate { scale: 10.0 });
+    cfg.actual_byz_workers = 2;
+    cfg.worker_attack = Some(AttackKind::Random { scale: 100.0 });
+    let rec = run_event_arrival(&cfg, FaultPlan::none());
+    let rec = rec.borrow();
+    assert_eq!(rec.updates, 30, "5 honest servers × 6 steps");
+    let forged = |ids: &[usize], byz: std::ops::Range<usize>| ids.iter().any(|id| byz.contains(id));
+    assert!(
+        rec.records.iter().any(|r| forged(&r.grad_quorum, 13..15)),
+        "forged gradients must reach a fold"
+    );
+    assert!(
+        rec.records.iter().any(|r| forged(&r.exch_quorum, 5..6)),
+        "forged exchanges must reach a fold"
+    );
+    assert_pinned("byzantine", pinned(&rec), EVENT_ARRIVAL_BYZANTINE);
+}
+
+#[test]
+fn event_arrival_recovery_run_is_pinned() {
+    let mut cfg = event_arrival_cfg(10);
+    cfg.recovery = true;
+    // Server 1 loses all traffic for a few rounds in the middle of the run;
+    // when it is reachable again its step is stale and only the
+    // newest-quorate fast-forward brings it back.
+    let plan = FaultPlan::none().crash(
+        NodeId(1),
+        SimTime::from_secs_f64(CRASH_FROM_SECS),
+        SimTime::from_secs_f64(CRASH_UNTIL_SECS),
+    );
+    let rec = run_event_arrival(&cfg, plan);
+    let rec = rec.borrow();
+    let steps_of = |s: usize| -> Vec<u64> {
+        rec.records
+            .iter()
+            .filter(|r| r.server == s)
+            .map(|r| r.step)
+            .collect()
+    };
+    assert_eq!(steps_of(0), (0..10).collect::<Vec<_>>());
+    let crashed = steps_of(1);
+    assert!(
+        crashed.len() < 10 && crashed.last() == Some(&9),
+        "server 1 must skip steps and still finish: {crashed:?}"
+    );
+    assert_pinned("recovery", pinned(&rec), EVENT_ARRIVAL_RECOVERY);
+}
+
+#[test]
+fn event_arrival_single_server_run_is_pinned() {
+    let cfg = ProtocolConfig {
+        cluster: ClusterConfig::single_server(4),
+        server_gar: aggregation::GarKind::Average,
+        cost: CostModel::vanilla_tf(),
+        ..event_arrival_cfg(5)
+    };
+    let rec = run_event_arrival(&cfg, FaultPlan::none());
+    let rec = rec.borrow();
+    assert_eq!(rec.updates, 5, "1 server × 5 steps");
+    assert!(
+        rec.records.iter().all(|r| r.exch_quorum.is_empty()),
+        "no exchange plane"
+    );
+    assert_pinned("single server", pinned(&rec), EVENT_ARRIVAL_SINGLE_SERVER);
 }
