@@ -41,8 +41,13 @@
 //! * `guanyu-runtime` (separate crate) — one OS thread per machine over
 //!   real transports (in-process channels or TCP loopback).
 //!
-//! In [`node::QuorumMode::Planned`] quorum membership is a pure function
-//! of the [`faults::FaultSchedule`] and the step number, so all three
+//! The machines have one fold path: a per-step ledger with one slot per
+//! sender, one admission gate and one pump each. Who is folded is a
+//! question they put to [`node::MachineSpec`], which answers it from the
+//! ledger in [`node::QuorumMode::Arrival`] (the first `q` distinct
+//! senders — the paper's rule, and the default) and from a forward plan in
+//! [`node::QuorumMode::Planned`], where membership is a pure function of
+//! the [`faults::FaultSchedule`] and the step number, so all three
 //! engines produce **bit-identical** per-round traces for the same
 //! configuration — the cross-engine contract the scenario layer checks.
 //! The engines share [`config::ClusterConfig`] (which enforces the

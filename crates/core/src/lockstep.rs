@@ -149,8 +149,6 @@ impl LockstepConfig {
             worker_attack: self.worker_attack,
             actual_byz_servers: self.actual_byz_servers,
             server_attack: self.server_attack,
-            worker_attack_windows: self.faults.worker_attack_windows(),
-            server_attack_windows: self.faults.server_attack_windows(),
             exchange_enabled: self.exchange_enabled,
             robust_worker_fold: self.robust_worker_fold,
             recovery: true,

@@ -9,18 +9,31 @@
 //! drivers over these machines: they own the I/O, the clock and the
 //! gradient computation, never the protocol.
 //!
-//! # Quorum modes
+//! # One fold path, two membership oracles
 //!
-//! * [`QuorumMode::Arrival`] — quorum membership is the first `q` arrivals
-//!   (folded in canonical sender-sorted order). This is the historical
-//!   behaviour of the event and threaded engines; membership depends on
-//!   message timing, so bit-identity across engines holds only at full
-//!   quorums.
-//! * [`QuorumMode::Planned`] — quorum membership is a pure function of the
-//!   [`FaultSchedule`] and the step number, derived once by a forward
-//!   [`planner`](MachineSpec). Every engine that drives the machines in
-//!   this mode produces bit-identical traces regardless of message timing,
-//!   which is what the cross-engine scenario matrix asserts.
+//! ByzSGD's safety argument is about *sets of distinct senders*: a server
+//! folds `q̄` gradients and `q` exchanged models, a worker `q` models, of
+//! which at most `f̄` / `f` are Byzantine. That rule is written once:
+//!
+//! * a [`Ledger`] buffers inbound vectors with **one slot per sender per
+//!   step** (first message wins) in arrival order, so a quorum is always a
+//!   count of distinct senders;
+//! * each machine has one admission gate, one `pump` and one `try_*` per
+//!   phase, and never looks at the run's [`QuorumMode`]: it asks its
+//!   [`MachineSpec`] whether to keep a message, whom to fold, where to
+//!   recover to and whether the adversary is live;
+//! * [`MachineSpec`] answers from the ledger in [`QuorumMode::Arrival`]
+//!   (the paper's semantics: the first `q` distinct senders, folded
+//!   sender-sorted; membership depends on message timing, so engines agree
+//!   bit for bit only at full quorums) and from its forward-planned
+//!   membership tables in [`QuorumMode::Planned`] (a pure function of the
+//!   [`FaultSchedule`] and the step number, so every engine produces the
+//!   same trace whatever the timing).
+//!
+//! In both modes a message whose sender's role cannot produce it (a
+//! `Gradient` from a server id, an `Exchange` or `Model` from a worker id,
+//! anything from the receiver itself or from an id outside the cluster) is
+//! ignored.
 //!
 //! In planned mode a node that is scheduled *down* for a window of steps
 //! discards every inbound message whose carried step falls inside the
@@ -38,7 +51,7 @@ use nn::LrSchedule;
 use tensor::Tensor;
 
 use crate::config::ClusterConfig;
-use crate::faults::{windows_allow, FaultSchedule};
+use crate::faults::FaultSchedule;
 use crate::trace::{positional_digest, DigestHasher, RoundDigest, Trace};
 use crate::{GuanYuError, Result};
 
@@ -268,10 +281,6 @@ pub struct MachineConfig {
     pub actual_byz_servers: usize,
     /// The server-side attack, if any.
     pub server_attack: Option<AttackKind>,
-    /// Steps during which the worker attack is live (empty = always).
-    pub worker_attack_windows: Vec<(u64, u64)>,
-    /// Steps during which the server attack is live (empty = always).
-    pub server_attack_windows: Vec<(u64, u64)>,
     /// Whether servers run the phase-3 contraction exchange.
     pub exchange_enabled: bool,
     /// Whether workers fold their model view with the median (`false` =
@@ -282,7 +291,8 @@ pub struct MachineConfig {
     pub recovery: bool,
     /// How quorum membership is decided.
     pub mode: QuorumMode,
-    /// The fault schedule (drives membership in planned mode only).
+    /// The fault schedule. Its attack windows gate the adversary in both
+    /// modes; everything else drives membership in planned mode only.
     pub faults: FaultSchedule,
 }
 
@@ -301,8 +311,6 @@ impl MachineConfig {
             worker_attack: None,
             actual_byz_servers: 0,
             server_attack: None,
-            worker_attack_windows: Vec::new(),
-            server_attack_windows: Vec::new(),
             exchange_enabled: true,
             robust_worker_fold: true,
             recovery: false,
@@ -340,6 +348,22 @@ impl MachineConfig {
         self.mode == QuorumMode::Planned
     }
 
+    /// Whether the Byzantine workers forge at `t`, given honest gradients
+    /// to forge from: there are some, their attack says something, and
+    /// the schedule's attack windows allow it.
+    fn worker_attack_live(&self, t: u64) -> bool {
+        self.actual_byz_workers > 0
+            && !matches!(self.worker_attack, Some(AttackKind::Mute) | None)
+            && self.faults.worker_attack_active(t)
+    }
+
+    /// Whether the Byzantine servers forge round `t`.
+    fn server_attack_live(&self, t: u64) -> bool {
+        self.actual_byz_servers > 0
+            && !matches!(self.server_attack, Some(AttackKind::Mute) | None)
+            && self.faults.server_attack_active(t)
+    }
+
     /// Whether honest server `s` is scheduled up at `step`.
     pub fn server_up(&self, step: u64, s: usize) -> bool {
         !(self.planned() && self.faults.server_down(step, s))
@@ -374,6 +398,102 @@ impl MachineConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// A fold set: sorted sender ids and their vectors, in the same order.
+type Members = (Vec<usize>, Vec<Tensor>);
+
+/// [`MachineSpec`]'s answer to "what do I do with this inbound message".
+enum Admit {
+    /// Buffer it.
+    Keep,
+    /// Drop it silently: stale plan membership or an impossible sender.
+    Ignore,
+    /// Drop it and count it: a planned crash window or partition ate it.
+    Discard,
+}
+
+impl Admit {
+    fn keep_if(member: bool) -> Admit {
+        if member {
+            Admit::Keep
+        } else {
+            Admit::Ignore
+        }
+    }
+}
+
+/// [`MachineSpec`]'s answer to "whom do I fold at this step".
+enum Quorum {
+    /// The fold set has not arrived yet.
+    Wait,
+    /// Degraded (empty or attacker-dominated) membership: advance without
+    /// folding — a degraded step is skipped, never stalled.
+    Skip,
+    /// Fold these.
+    Fold(Members),
+}
+
+/// The per-step sender ledger behind every quorum: **one slot per sender
+/// per step** (the first message wins, so a repeated message can never
+/// occupy a second slot of a fold that assumes ≤ `f` forgeries), kept in
+/// arrival order.
+#[derive(Debug, Default)]
+struct Ledger {
+    steps: HashMap<u64, Vec<(usize, Tensor)>>,
+}
+
+impl Ledger {
+    /// Buffers `t` as `from`'s message for `step` unless it already has one.
+    fn insert(&mut self, step: u64, from: usize, t: &Tensor) {
+        let slots = self.steps.entry(step).or_default();
+        if !slots.iter().any(|(s, _)| *s == from) {
+            slots.push((from, t.clone()));
+        }
+    }
+
+    /// Distinct senders buffered at `step`.
+    fn len(&self, step: u64) -> usize {
+        self.steps.get(&step).map_or(0, Vec::len)
+    }
+
+    /// `members`' tensors at `step`, in `members` order, or `None` if any
+    /// member is missing.
+    fn collect(&self, step: u64, members: &[usize]) -> Option<Vec<Tensor>> {
+        let slots = self.steps.get(&step).map_or(&[][..], Vec::as_slice);
+        members
+            .iter()
+            .map(|m| slots.iter().find(|(s, _)| s == m).map(|(_, t)| t.clone()))
+            .collect()
+    }
+
+    /// The first `q` arrivals at `step`, sender-sorted — the canonical
+    /// arrival-mode fold set — or `None` while fewer than `q` are buffered.
+    fn first_sorted(&self, step: u64, q: usize) -> Option<Members> {
+        let mut first = self.steps.get(&step)?.get(..q)?.to_vec();
+        first.sort_by_key(|(s, _)| *s);
+        Some(first.into_iter().unzip())
+    }
+
+    /// Every tensor buffered at `step`, in sender order.
+    fn sorted(&self, step: u64) -> Vec<Tensor> {
+        self.first_sorted(step, self.len(step))
+            .map_or_else(Vec::new, |(_, tensors)| tensors)
+    }
+
+    /// The newest step after `step` holding at least `q` distinct senders.
+    fn newest_quorate_above(&self, step: u64, q: usize) -> Option<u64> {
+        self.steps
+            .iter()
+            .filter(|(&s, slots)| s > step && slots.len() >= q)
+            .map(|(&s, _)| s)
+            .max()
+    }
+
+    /// Forgets every step before `step`.
+    fn prune_below(&mut self, step: u64) {
+        self.steps.retain(|&s, _| s >= step);
     }
 }
 
@@ -437,9 +557,7 @@ impl MachineSpec {
                 .collect();
             // Byzantine servers advance their forge round on a static
             // cascade, gated only by the attack windows and max_steps.
-            let server_forging = cfg.actual_byz_servers > 0
-                && !matches!(cfg.server_attack, Some(AttackKind::Mute) | None)
-                && windows_allow(&cfg.server_attack_windows, t);
+            let server_forging = cfg.server_attack_live(t);
             // Phase 1: the step-t model is broadcast by every honest server
             // that completed t−1 (it sends before any step-t crash lands),
             // plus the forging Byzantine servers.
@@ -474,10 +592,7 @@ impl MachineSpec {
             } else {
                 Vec::new()
             };
-            let worker_forging = cfg.actual_byz_workers > 0
-                && !matches!(cfg.worker_attack, Some(AttackKind::Mute) | None)
-                && windows_allow(&cfg.worker_attack_windows, t)
-                && !computing.is_empty();
+            let worker_forging = cfg.worker_attack_live(t) && !computing.is_empty();
             // Forged gradients land first (the omniscient attacker pays no
             // compute), then honest computers fill the quorum. Membership
             // rotates per server (see `grad_plan`), but the forged/honest
@@ -643,6 +758,194 @@ impl MachineSpec {
             me,
         )
     }
+
+    /// Admission of a step-`step` `Gradient` from `from` at `me`: an
+    /// honest server's fold input, or a Byzantine node's omniscience tap.
+    fn admit_gradient(&self, step: u64, me: usize, from: usize) -> Admit {
+        let cfg = &self.cfg;
+        let workers = cfg.cluster.servers..cfg.cluster.servers + cfg.cluster.workers;
+        if from == me || !workers.contains(&from) {
+            return Admit::Ignore;
+        }
+        if !cfg.planned() {
+            return Admit::Keep;
+        }
+        let member = if me < cfg.honest_servers() {
+            if !cfg.server_up(step, me) {
+                return Admit::Discard;
+            }
+            self.grad_plan(step, me).contains(&from)
+        } else {
+            self.computing(step).contains(&from)
+        };
+        Admit::keep_if(member)
+    }
+
+    /// Admission of a step-`step` `Exchange` from `from` at server `me`.
+    fn admit_exchange(&self, step: u64, me: usize, from: usize) -> Admit {
+        let cfg = &self.cfg;
+        if from == me || from >= cfg.cluster.servers || !cfg.exchange_plane() {
+            return Admit::Ignore;
+        }
+        if !cfg.planned() {
+            return Admit::Keep;
+        }
+        let honest = from < cfg.honest_servers();
+        if me >= cfg.honest_servers() {
+            // A Byzantine observer's forge base is the planned honest
+            // exchange set only — peer forgeries or stale sends would make
+            // it arrival-order dependent. Its covert channel ignores
+            // partitions.
+            return Admit::keep_if(honest && self.active(step, from));
+        }
+        if !cfg.server_up(step, me) || (honest && !cfg.faults.exchange_allowed(step, me, from)) {
+            return Admit::Discard;
+        }
+        Admit::keep_if(if honest {
+            self.active(step, from)
+        } else {
+            self.server_forging(step)
+        })
+    }
+
+    /// Admission of a step-`step` `Model` from `from` at honest worker `me`.
+    fn admit_model(&self, step: u64, me: usize, from: usize) -> Admit {
+        let cfg = &self.cfg;
+        if from >= cfg.cluster.servers {
+            return Admit::Ignore;
+        }
+        if !cfg.planned() {
+            return Admit::Keep;
+        }
+        if !cfg.worker_up(step, me) {
+            return Admit::Discard;
+        }
+        Admit::keep_if(self.model_plan(step).contains(&from))
+    }
+
+    /// The membership rule behind every fold. Arrival: the first `q`
+    /// distinct senders buffered at `step`, sender-sorted. Planned: what
+    /// `plan` reads off the tables.
+    fn fold(&self, ledger: &Ledger, step: u64, q: usize, plan: impl FnOnce() -> Quorum) -> Quorum {
+        match self.cfg.mode {
+            QuorumMode::Arrival => ledger
+                .first_sorted(step, q)
+                .map_or(Quorum::Wait, Quorum::Fold),
+            QuorumMode::Planned => plan(),
+        }
+    }
+
+    /// Server `me`'s phase-2 fold at `step`; planned: [`Self::grad_plan`]
+    /// once all of it has arrived.
+    fn gradient_fold(&self, step: u64, me: usize, grads: &Ledger) -> Quorum {
+        self.fold(grads, step, self.cfg.cluster.worker_quorum, || {
+            if !self.active(step, me) {
+                return Quorum::Wait;
+            }
+            let members = self.grad_plan(step, me);
+            match grads.collect(step, &members) {
+                None => Quorum::Wait,
+                Some(tensors) if self.grad_safe(step) => Quorum::Fold((members, tensors)),
+                Some(_) => Quorum::Skip,
+            }
+        })
+    }
+
+    /// Server `me`'s phase-3 fold at `step` (itself included); planned:
+    /// [`Self::exchange_plan`] once all of it has arrived.
+    fn exchange_fold(&self, step: u64, me: usize, exchanges: &Ledger) -> Quorum {
+        self.fold(exchanges, step, self.cfg.cluster.server_quorum, || {
+            if !self.active(step, me) {
+                return Quorum::Wait;
+            }
+            let members = self.exchange_plan(step, me);
+            let forged = members
+                .iter()
+                .filter(|&&m| m >= self.cfg.honest_servers())
+                .count();
+            match exchanges.collect(step, &members) {
+                None => Quorum::Wait,
+                Some(_) if fold_unsafe(members.len() - forged, forged) => Quorum::Skip,
+                Some(tensors) => Quorum::Fold((members, tensors)),
+            }
+        })
+    }
+
+    /// Worker `me`'s phase-1 model view at `step`; planned:
+    /// [`Self::model_plan`] once all of it has arrived, and a worker that
+    /// is down, starved or attacker-dominated skips.
+    fn model_fold(&self, step: u64, me: usize, models: &Ledger) -> Quorum {
+        self.fold(models, step, self.cfg.cluster.server_quorum, || {
+            if !self.cfg.worker_up(step, me) || !self.model_safe(step) {
+                return Quorum::Skip;
+            }
+            let members = self.model_plan(step);
+            match models.collect(step, members) {
+                None => Quorum::Wait,
+                Some(tensors) => Quorum::Fold((members.to_vec(), tensors)),
+            }
+        })
+    }
+
+    /// Which buffered step node `me`, stuck at `step`, jumps to, and whose
+    /// messages it adopts there. Arrival: the **newest** step holding a
+    /// full quorum, when `recovery` is set. Planned: the **oldest** step
+    /// the planner lets server `me` adopt, once its strict-`q` adoption set
+    /// has arrived (planned workers never jump — [`Self::model_fold`] skips
+    /// their dead steps one by one).
+    fn recovery(&self, step: u64, me: usize, ledger: &Ledger) -> Option<(u64, Members)> {
+        let cfg = &self.cfg;
+        match cfg.mode {
+            QuorumMode::Arrival => {
+                if !cfg.recovery {
+                    return None;
+                }
+                let q = cfg.cluster.server_quorum;
+                let to = ledger.newest_quorate_above(step, q)?;
+                Some((to, ledger.first_sorted(to, q)?))
+            }
+            QuorumMode::Planned => {
+                if me >= cfg.honest_servers() {
+                    return None;
+                }
+                for t in step..cfg.max_steps {
+                    if self.active(t, me) {
+                        return None;
+                    }
+                    if self.adoptable(t, me) {
+                        let members = self.adoption_plan(t, me)?;
+                        let tensors = ledger.collect(t, &members)?;
+                        return Some((t, (members, tensors)));
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// Whether no remaining planned step ever reactivates or readmits
+    /// server `me`, stuck at `step`: it will never send, fold or adopt
+    /// again, whatever arrives. Never true in arrival mode, where any
+    /// message may still fill a quorum.
+    fn stranded(&self, step: u64, me: usize) -> bool {
+        self.cfg.planned()
+            && (step..self.cfg.max_steps).all(|t| !self.active(t, me) && !self.adoptable(t, me))
+    }
+
+    /// Whether a Byzantine node has observed everything it forges round
+    /// `step + 1` (servers) or step `step` (workers) from: `seen` distinct
+    /// honest gradients (`gradients`) or exchanges. Arrival: anything at
+    /// all; planned: the whole planned honest set.
+    fn observed_all(&self, step: u64, seen: usize, gradients: bool) -> bool {
+        match self.cfg.mode {
+            QuorumMode::Arrival => seen > 0,
+            QuorumMode::Planned if gradients => seen >= self.computing(step).len(),
+            QuorumMode::Planned => {
+                let active = (0..self.cfg.honest_servers()).filter(|&p| self.active(step, p));
+                seen >= active.count()
+            }
+        }
+    }
 }
 
 /// Shared adoption-set derivation, usable both during plan construction
@@ -681,32 +984,6 @@ fn self_can_adopt(cfg: &MachineConfig, plan: &Plan, t: u64, s: usize) -> bool {
     adoption_set(cfg, |p| plan.active[ti][p], plan.server_forging[ti], t, s).is_some()
 }
 
-/// First-wins insertion into a per-step sender ledger.
-fn ledger_insert(ledger: &mut Vec<(usize, Tensor)>, from: usize, t: Tensor) {
-    if !ledger.iter().any(|(s, _)| *s == from) {
-        ledger.push((from, t));
-    }
-}
-
-/// Pulls `members`' tensors (in members order) out of a ledger, or `None`
-/// if any member is missing.
-fn collect(ledger: &[(usize, Tensor)], members: &[usize]) -> Option<Vec<Tensor>> {
-    members
-        .iter()
-        .map(|m| ledger.iter().find(|(s, _)| s == m).map(|(_, t)| t.clone()))
-        .collect()
-}
-
-/// First `take` arrivals, returned as sorted `(sender, tensor)` pairs —
-/// the canonical arrival-mode fold set.
-fn canonical_arrivals(ledger: &[(usize, Tensor)], take: usize) -> (Vec<usize>, Vec<Tensor>) {
-    let mut first: Vec<(usize, Tensor)> = ledger[..take].to_vec();
-    first.sort_by_key(|(s, _)| *s);
-    let senders = first.iter().map(|(s, _)| *s).collect();
-    let tensors = first.into_iter().map(|(_, t)| t).collect();
-    (senders, tensors)
-}
-
 /// The honest parameter-server machine (one per logical replica, or one
 /// per shard group × replica when the gradient plane is sharded — `params`
 /// is then the server's coordinate slice and `offset` its global origin).
@@ -718,8 +995,8 @@ pub struct ServerMachine {
     step: u64,
     exchanging: bool,
     halted: bool,
-    grads: HashMap<u64, Vec<(usize, Tensor)>>,
-    exchanges: HashMap<u64, Vec<(usize, Tensor)>>,
+    grads: Ledger,
+    exchanges: Ledger,
     gar: Box<dyn Gar>,
     median: CoordinateWiseMedian,
     grad_quorum: Vec<usize>,
@@ -755,8 +1032,8 @@ impl ServerMachine {
             step: 0,
             exchanging: false,
             halted: false,
-            grads: HashMap::new(),
-            exchanges: HashMap::new(),
+            grads: Ledger::default(),
+            exchanges: Ledger::default(),
             gar,
             median: CoordinateWiseMedian::new(),
             grad_quorum: Vec::new(),
@@ -799,8 +1076,8 @@ impl ServerMachine {
         self.step = step;
         self.exchanging = false;
         self.halted = step >= self.spec.cfg.max_steps;
-        self.grads.clear();
-        self.exchanges.clear();
+        self.grads = Ledger::default();
+        self.exchanges = Ledger::default();
         self.grad_quorum.clear();
     }
 
@@ -840,112 +1117,51 @@ impl ServerMachine {
 
     /// Feeds one inbound message.
     pub fn on_message(&mut self, from: usize, msg: &NodeMsg, out: &mut Vec<Output>) {
-        if self.halted {
+        let (step, vector) = (msg.step(), msg.vector());
+        if self.halted
+            || step < self.step
+            || vector.len() != self.params.len()
+            || !vector.is_finite()
+        {
             return;
         }
-        let cfg = &self.spec.cfg;
-        let planned = cfg.planned();
-        match msg {
-            NodeMsg::Gradient { step, grad } => {
-                if *step < self.step || grad.len() != self.params.len() || !grad.is_finite() {
-                    return;
-                }
-                if planned {
-                    if !cfg.server_up(*step, self.me) {
-                        self.discarded += 1;
-                        return;
-                    }
-                    if !self.spec.grad_plan(*step, self.me).contains(&from) {
-                        return;
-                    }
-                    ledger_insert(self.grads.entry(*step).or_default(), from, grad.clone());
-                } else {
-                    self.grads
-                        .entry(*step)
-                        .or_default()
-                        .push((from, grad.clone()));
-                }
+        let (verdict, ledger) = match msg {
+            NodeMsg::Gradient { .. } => (
+                self.spec.admit_gradient(step, self.me, from),
+                &mut self.grads,
+            ),
+            NodeMsg::Exchange { .. } => (
+                self.spec.admit_exchange(step, self.me, from),
+                &mut self.exchanges,
+            ),
+            NodeMsg::Model { .. } => return,
+        };
+        match verdict {
+            Admit::Keep => {
+                ledger.insert(step, from, vector);
+                self.pump(out);
             }
-            NodeMsg::Exchange { step, params } => {
-                if *step < self.step || params.len() != self.params.len() || !params.is_finite() {
-                    return;
-                }
-                if planned {
-                    if !cfg.server_up(*step, self.me) {
-                        self.discarded += 1;
-                        return;
-                    }
-                    let honest = from < cfg.honest_servers();
-                    if honest && !cfg.faults.exchange_allowed(*step, self.me, from) {
-                        self.discarded += 1;
-                        return;
-                    }
-                    if honest && !self.spec.active(*step, from) {
-                        return;
-                    }
-                    if !honest && !self.spec.server_forging(*step) {
-                        return;
-                    }
-                    ledger_insert(
-                        self.exchanges.entry(*step).or_default(),
-                        from,
-                        params.clone(),
-                    );
-                } else {
-                    self.exchanges
-                        .entry(*step)
-                        .or_default()
-                        .push((from, params.clone()));
-                }
-            }
-            NodeMsg::Model { .. } => {}
+            Admit::Discard => self.discarded += 1,
+            Admit::Ignore => {}
         }
-        self.pump(out);
     }
 
-    /// Runs every enabled transition to fixpoint.
+    /// Runs every enabled transition to fixpoint: the current phase's fold,
+    /// then recovery (a frozen planned server, whose folds all answer
+    /// `Wait`, moves by adoption only). A server that can never move again
+    /// is stranded — no message can change a pure function of the
+    /// schedule, so it halts rather than leaving a wall-clock driver
+    /// waiting on a quorum that cannot exist.
     fn pump(&mut self, out: &mut Vec<Output>) {
-        loop {
-            if self.halted {
-                return;
-            }
-            if self.spec.cfg.planned() {
-                if !self.spec.cfg.server_up(self.step, self.me)
-                    || (!self.exchanging && !self.spec.active(self.step, self.me))
-                {
-                    // Frozen (or waiting on the planner to let it rejoin):
-                    // only adoption can move it. A server the plan never
-                    // reactivates or readmits is stranded — no message can
-                    // change a pure function of the schedule, so it halts
-                    // rather than leaving a wall-clock driver waiting on a
-                    // quorum that cannot exist.
-                    if !self.try_adopt(out) {
-                        if self.stranded() {
-                            self.halted = true;
-                        }
-                        return;
-                    }
-                    continue;
-                }
-                if !self.exchanging {
-                    if !self.try_planned_gradients(out) {
-                        return;
-                    }
-                    continue;
-                }
-                if !self.try_planned_exchange(out) {
-                    return;
-                }
-                continue;
-            }
-            // Arrival mode.
+        while !self.halted {
             let progressed = if self.exchanging {
-                self.try_arrival_exchange(out)
+                self.try_exchange(out)
             } else {
-                self.try_arrival_gradients(out)
+                self.try_gradients(out)
             };
-            let recovered = self.try_arrival_recover(out);
+            let recovered = self.try_recover(out);
             if !progressed && !recovered {
+                self.halted = self.spec.stranded(self.step, self.me);
                 return;
             }
         }
@@ -955,11 +1171,7 @@ impl ServerMachine {
         let cfg = &self.spec.cfg;
         if cfg.exchange_plane() {
             self.exchanging = true;
-            ledger_insert(
-                self.exchanges.entry(self.step).or_default(),
-                self.me,
-                self.params.clone(),
-            );
+            self.exchanges.insert(self.step, self.me, &self.params);
             for s in 0..cfg.cluster.servers {
                 if s != self.me {
                     out.push(Output::Send {
@@ -986,9 +1198,8 @@ impl ServerMachine {
         }));
         self.exchanging = false;
         self.step += 1;
-        let step = self.step;
-        self.grads.retain(|&s, _| s >= step);
-        self.exchanges.retain(|&s, _| s >= step);
+        self.grads.prune_below(self.step);
+        self.exchanges.prune_below(self.step);
         if self.step >= self.spec.cfg.max_steps {
             self.halted = true;
             return;
@@ -996,158 +1207,63 @@ impl ServerMachine {
         self.broadcast_model(out);
     }
 
-    /// Planned-mode gradient phase. Returns `true` if it progressed.
-    fn try_planned_gradients(&mut self, out: &mut Vec<Output>) -> bool {
-        let members = self.spec.grad_plan(self.step, self.me);
-        let empty = Vec::new();
-        let ledger = self.grads.get(&self.step).unwrap_or(&empty);
-        let Some(tensors) = collect(ledger, &members) else {
-            return false;
-        };
-        if self.spec.grad_safe(self.step) {
-            if let Ok(agg) = self.gar.aggregate(&tensors) {
-                let lr = self.spec.cfg.lr.at(self.step);
-                self.params
-                    .axpy(-lr, &agg)
-                    .expect("dims match by admission");
-                self.grad_quorum = members;
+    /// The gradient phase. Returns `true` if it progressed. A skipped or
+    /// failed fold leaves the parameters alone but never stalls the step.
+    fn try_gradients(&mut self, out: &mut Vec<Output>) -> bool {
+        match self.spec.gradient_fold(self.step, self.me, &self.grads) {
+            Quorum::Wait => return false,
+            Quorum::Skip => {}
+            Quorum::Fold((members, tensors)) => {
+                if let Ok(agg) = self.gar.aggregate(&tensors) {
+                    let lr = self.spec.cfg.lr.at(self.step);
+                    self.params
+                        .axpy(-lr, &agg)
+                        .expect("dims match by admission");
+                    self.grad_quorum = members;
+                }
             }
         }
-        // Degraded (empty or attacker-dominated) plans skip the update but
-        // never stall the step.
         self.enter_exchange(out);
         true
     }
 
-    /// Planned-mode exchange fold. Returns `true` if it progressed.
-    fn try_planned_exchange(&mut self, out: &mut Vec<Output>) -> bool {
-        let members = self.spec.exchange_plan(self.step, self.me);
-        let empty = Vec::new();
-        let ledger = self.exchanges.get(&self.step).unwrap_or(&empty);
-        let Some(tensors) = collect(ledger, &members) else {
-            return false;
-        };
-        let forged = members
-            .iter()
-            .filter(|&&m| m >= self.spec.cfg.honest_servers())
-            .count();
-        let mut folded_members = Vec::new();
-        if !fold_unsafe(members.len() - forged, forged) {
-            if let Ok(folded) = self.median.aggregate(&tensors) {
-                self.params = folded;
-                folded_members = members;
+    /// The exchange fold. Returns `true` if it progressed.
+    fn try_exchange(&mut self, out: &mut Vec<Output>) -> bool {
+        let mut folded = Vec::new();
+        match self.spec.exchange_fold(self.step, self.me, &self.exchanges) {
+            Quorum::Wait => return false,
+            Quorum::Skip => {}
+            Quorum::Fold((members, tensors)) => {
+                if let Ok(median) = self.median.aggregate(&tensors) {
+                    self.params = median;
+                    folded = members;
+                }
             }
         }
-        self.finish_step(folded_members, out);
+        self.finish_step(folded, out);
         true
     }
 
-    /// Whether no remaining planned step ever reactivates or readmits
-    /// this server: it will never send, fold or adopt again, regardless
-    /// of what arrives.
-    fn stranded(&self) -> bool {
-        (self.step..self.spec.cfg.max_steps)
-            .all(|t| !self.spec.active(t, self.me) && !self.spec.adoptable(t, self.me))
-    }
-
-    /// Planned-mode adoption fast-forward. Returns `true` if it adopted.
-    fn try_adopt(&mut self, out: &mut Vec<Output>) -> bool {
-        let spec = self.spec.clone();
-        for t in self.step..spec.cfg.max_steps {
-            if spec.active(t, self.me) {
-                return false;
-            }
-            if !spec.adoptable(t, self.me) {
-                continue;
-            }
-            let Some(members) = spec.adoption_plan(t, self.me) else {
-                return false;
-            };
-            let empty = Vec::new();
-            let ledger = self.exchanges.get(&t).unwrap_or(&empty);
-            let Some(tensors) = collect(ledger, &members) else {
-                return false;
-            };
-            let Ok(folded) = self.median.aggregate(&tensors) else {
-                return false;
-            };
-            let from = self.step;
-            self.params = folded;
-            self.step = t;
-            self.grad_quorum.clear();
-            out.push(Output::Recovered { from, to: t });
-            self.finish_step(members, out);
-            return true;
-        }
-        false
-    }
-
-    /// Arrival-mode gradient phase (first `q̄` arrivals, sender-sorted).
-    fn try_arrival_gradients(&mut self, out: &mut Vec<Output>) -> bool {
-        let qbar = self.spec.cfg.cluster.worker_quorum;
-        let Some(ledger) = self.grads.get(&self.step) else {
-            return false;
-        };
-        if ledger.len() < qbar {
-            return false;
-        }
-        let (senders, tensors) = canonical_arrivals(ledger, qbar);
-        let Ok(agg) = self.gar.aggregate(&tensors) else {
-            return false;
-        };
-        let lr = self.spec.cfg.lr.at(self.step);
-        self.params
-            .axpy(-lr, &agg)
-            .expect("dims match by admission");
-        self.grad_quorum = senders;
-        self.enter_exchange(out);
-        true
-    }
-
-    /// Arrival-mode exchange fold (first `q` arrivals, sender-sorted).
-    fn try_arrival_exchange(&mut self, out: &mut Vec<Output>) -> bool {
-        let q = self.spec.cfg.cluster.server_quorum;
-        let Some(ledger) = self.exchanges.get(&self.step) else {
-            return false;
-        };
-        if ledger.len() < q {
-            return false;
-        }
-        let (senders, tensors) = canonical_arrivals(ledger, q);
-        if let Ok(folded) = self.median.aggregate(&tensors) {
-            self.params = folded;
-        }
-        self.finish_step(senders, out);
-        true
-    }
-
-    /// Arrival-mode recovery: adopt the **newest** step with a full
-    /// exchange quorum buffered (protocol-level state transfer).
-    fn try_arrival_recover(&mut self, out: &mut Vec<Output>) -> bool {
-        if !self.spec.cfg.recovery || !self.spec.cfg.exchange_plane() {
-            return false;
-        }
-        let q = self.spec.cfg.cluster.server_quorum;
-        let Some(target) = self
-            .exchanges
-            .iter()
-            .filter(|(&s, l)| s > self.step && l.len() >= q)
-            .map(|(&s, _)| s)
-            .max()
+    /// Recovery fast-forward: adopt the median of a quorate exchange set
+    /// buffered for a later step (protocol-level state transfer). Returns
+    /// `true` if it adopted.
+    fn try_recover(&mut self, out: &mut Vec<Output>) -> bool {
+        let Some((to, (members, tensors))) =
+            self.spec.recovery(self.step, self.me, &self.exchanges)
         else {
             return false;
         };
-        let ledger = &self.exchanges[&target];
-        let (senders, tensors) = canonical_arrivals(ledger, q);
-        let Ok(folded) = self.median.aggregate(&tensors) else {
+        let Ok(median) = self.median.aggregate(&tensors) else {
             return false;
         };
-        let from = self.step;
-        self.params = folded;
-        self.step = target;
+        out.push(Output::Recovered {
+            from: self.step,
+            to,
+        });
+        self.params = median;
+        self.step = to;
         self.grad_quorum.clear();
-        out.push(Output::Recovered { from, to: target });
-        self.finish_step(senders, out);
+        self.finish_step(members, out);
         true
     }
 }
@@ -1163,7 +1279,7 @@ pub struct WorkerMachine {
     step: u64,
     awaiting: Option<u64>,
     halted: bool,
-    models: HashMap<u64, Vec<(usize, Tensor)>>,
+    models: Ledger,
     median: CoordinateWiseMedian,
     discarded: u64,
 }
@@ -1188,7 +1304,7 @@ impl WorkerMachine {
             step: 0,
             awaiting: None,
             halted: false,
-            models: HashMap::new(),
+            models: Ledger::default(),
             median: CoordinateWiseMedian::new(),
             discarded: 0,
         }
@@ -1220,7 +1336,7 @@ impl WorkerMachine {
         self.step = step;
         self.awaiting = None;
         self.halted = step >= self.spec.cfg.max_steps;
-        self.models.clear();
+        self.models = Ledger::default();
     }
 
     /// Starts the machine (runs planned-mode skip transitions).
@@ -1230,30 +1346,19 @@ impl WorkerMachine {
 
     /// Feeds one inbound message (only `Model` is meaningful).
     pub fn on_message(&mut self, from: usize, msg: &NodeMsg, out: &mut Vec<Output>) {
-        if self.halted {
+        let NodeMsg::Model { step, params } = msg else {
+            return;
+        };
+        if self.halted || *step < self.step || params.len() != self.dim || !params.is_finite() {
             return;
         }
-        let cfg = &self.spec.cfg;
-        if let NodeMsg::Model { step, params } = msg {
-            if *step < self.step || params.len() != self.dim || !params.is_finite() {
-                return;
+        match self.spec.admit_model(*step, self.me, from) {
+            Admit::Keep => {
+                self.models.insert(*step, from, params);
+                self.pump(out);
             }
-            if cfg.planned() {
-                if !cfg.worker_up(*step, self.me) {
-                    self.discarded += 1;
-                    return;
-                }
-                if !self.spec.model_plan(*step).contains(&from) {
-                    return;
-                }
-                ledger_insert(self.models.entry(*step).or_default(), from, params.clone());
-            } else {
-                self.models
-                    .entry(*step)
-                    .or_default()
-                    .push((from, params.clone()));
-            }
-            self.pump(out);
+            Admit::Discard => self.discarded += 1,
+            Admit::Ignore => {}
         }
     }
 
@@ -1265,20 +1370,11 @@ impl WorkerMachine {
         self.awaiting = None;
         let cfg = &self.spec.cfg;
         if grad.is_finite() {
-            for s in 0..cfg.cluster.servers {
+            // Every server, then the omniscience taps: Byzantine workers
+            // see every honest gradient before forging their own.
+            for to in (0..cfg.cluster.servers).chain(cfg.byz_worker_ids()) {
                 out.push(Output::Send {
-                    to: s,
-                    msg: NodeMsg::Gradient {
-                        step,
-                        grad: grad.clone(),
-                    },
-                });
-            }
-            // Omniscience taps: Byzantine workers see every honest
-            // gradient before forging their own.
-            for b in cfg.byz_worker_ids() {
-                out.push(Output::Send {
-                    to: b,
+                    to,
                     msg: NodeMsg::Gradient {
                         step,
                         grad: grad.clone(),
@@ -1286,85 +1382,44 @@ impl WorkerMachine {
                 });
             }
         }
-        self.step = step + 1;
-        let s = self.step;
-        self.models.retain(|&k, _| k >= s);
+        self.advance_to(step + 1);
         self.pump(out);
     }
 
+    /// Moves to `step`, forgetting every older buffered model.
+    fn advance_to(&mut self, step: u64) {
+        self.step = step;
+        self.models.prune_below(step);
+    }
+
     fn pump(&mut self, out: &mut Vec<Output>) {
-        if self.awaiting.is_some() || self.halted {
+        if self.awaiting.is_some() {
             return;
         }
         let spec = self.spec.clone();
-        let cfg = &spec.cfg;
-        loop {
-            if self.step >= cfg.max_steps {
+        while !self.halted {
+            if let Some((to, _)) = spec.recovery(self.step, self.me, &self.models) {
+                self.advance_to(to);
+            }
+            if self.step >= spec.cfg.max_steps {
                 self.halted = true;
                 return;
             }
-            if cfg.planned() {
-                let t = self.step;
-                if !cfg.worker_up(t, self.me)
-                    || spec.model_plan(t).is_empty()
-                    || !spec.model_safe(t)
-                {
-                    // Down, starved or attacker-dominated: sit the step out
-                    // (no batch is drawn — the data stream stays aligned).
-                    self.step += 1;
-                    let s = self.step;
-                    self.models.retain(|&k, _| k >= s);
-                    continue;
-                }
-                let members = spec.model_plan(t).to_vec();
-                let empty = Vec::new();
-                let ledger = self.models.get(&t).unwrap_or(&empty);
-                let Some(tensors) = collect(ledger, &members) else {
-                    return;
-                };
-                let Some(view) = self.fold_view(&tensors) else {
-                    self.step += 1;
-                    continue;
-                };
-                self.awaiting = Some(t);
-                out.push(Output::NeedGradient {
-                    step: t,
-                    model: view,
-                });
-                return;
-            }
-            // Arrival mode: optionally fast-forward to the newest quorate
-            // step, then fold the first q arrivals sender-sorted.
-            let q = cfg.cluster.server_quorum;
-            if cfg.recovery {
-                if let Some(newest) = self
-                    .models
-                    .iter()
-                    .filter(|(&s, l)| s > self.step && l.len() >= q)
-                    .map(|(&s, _)| s)
-                    .max()
-                {
-                    self.step = newest;
-                    let s = self.step;
-                    self.models.retain(|&k, _| k >= s);
-                }
-            }
-            let t = self.step;
-            let Some(ledger) = self.models.get(&t) else {
-                return;
+            let view = match spec.model_fold(self.step, self.me, &self.models) {
+                Quorum::Wait => return,
+                Quorum::Skip => None,
+                Quorum::Fold((_, tensors)) => self.fold_view(&tensors),
             };
-            if ledger.len() < q {
-                return;
-            }
-            let (_, tensors) = canonical_arrivals(ledger, q);
-            let Some(view) = self.fold_view(&tensors) else {
-                self.step += 1;
+            let Some(model) = view else {
+                // Skipped or unfoldable: sit the step out (no batch is
+                // drawn — the data stream stays aligned).
+                self.advance_to(self.step + 1);
                 continue;
             };
-            self.awaiting = Some(t);
+            self.awaiting = Some(self.step);
             out.push(Output::NeedGradient {
-                step: t,
-                model: view,
+                step: self.step,
+                model,
             });
             return;
         }
@@ -1383,8 +1438,9 @@ impl WorkerMachine {
 /// omniscience taps and forges per-receiver gradients for every server.
 pub struct ByzWorkerMachine {
     spec: Arc<MachineSpec>,
+    me: usize,
     attack: Box<dyn Attack>,
-    taps: HashMap<u64, Vec<(usize, Tensor)>>,
+    taps: Ledger,
     forged: std::collections::HashSet<u64>,
 }
 
@@ -1406,9 +1462,10 @@ impl ByzWorkerMachine {
             .expect("validated: byz workers imply an attack");
         let attack = kind.build(worker_attack_seed(spec.cfg.seed, worker_index));
         ByzWorkerMachine {
+            me: spec.cfg.cluster.servers + worker_index,
             spec,
             attack,
-            taps: HashMap::new(),
+            taps: Ledger::default(),
             forged: std::collections::HashSet::new(),
         }
     }
@@ -1420,38 +1477,22 @@ impl ByzWorkerMachine {
 
     /// Feeds one inbound message (only gradient taps are meaningful).
     pub fn on_message(&mut self, from: usize, msg: &NodeMsg, out: &mut Vec<Output>) {
-        let NodeMsg::Gradient { step, grad } = msg else {
+        let NodeMsg::Gradient { step: t, grad } = msg else {
             return;
         };
-        let spec = self.spec.clone();
-        let cfg = &spec.cfg;
-        if self.forged.contains(step) {
+        let (t, spec) = (*t, self.spec.clone());
+        if self.forged.contains(&t) || !matches!(spec.admit_gradient(t, self.me, from), Admit::Keep)
+        {
             return;
         }
-        if cfg.planned() && !spec.computing(*step).contains(&from) {
+        self.taps.insert(t, from, grad);
+        if !spec.observed_all(t, self.taps.len(t), true) {
             return;
         }
-        ledger_insert(self.taps.entry(*step).or_default(), from, grad.clone());
-        let ready = if cfg.planned() {
-            self.taps[step].len() == spec.computing(*step).len()
-        } else {
-            true
-        };
-        if !ready {
-            return;
-        }
-        let t = *step;
         self.forged.insert(t);
-        let mut base: Vec<(usize, Tensor)> = self.taps.remove(&t).unwrap_or_default();
-        base.sort_by_key(|(s, _)| *s);
-        let honest: Vec<Tensor> = base.into_iter().map(|(_, g)| g).collect();
-        let live = if cfg.planned() {
-            spec.worker_forging(t)
-        } else {
-            windows_allow(&cfg.worker_attack_windows, t)
-        };
-        if live && !honest.is_empty() {
-            for s in 0..cfg.cluster.servers {
+        if spec.cfg.worker_attack_live(t) {
+            let honest = self.taps.sorted(t);
+            for s in 0..spec.cfg.cluster.servers {
                 let view = AttackView::new(&honest, t, s);
                 if let Some(forged) = self.attack.forge(&view) {
                     out.push(Output::Send {
@@ -1464,7 +1505,7 @@ impl ByzWorkerMachine {
                 }
             }
         }
-        self.taps.retain(|&k, _| k > t);
+        self.taps.prune_below(t + 1);
     }
 }
 
@@ -1477,7 +1518,7 @@ pub struct ByzServerMachine {
     me: usize,
     dim: usize,
     attack: Box<dyn Attack>,
-    observed: HashMap<u64, Vec<(usize, Tensor)>>,
+    observed: Ledger,
     round: u64,
 }
 
@@ -1504,7 +1545,7 @@ impl ByzServerMachine {
             me,
             dim,
             attack,
-            observed: HashMap::new(),
+            observed: Ledger::default(),
             round: 0,
         }
     }
@@ -1521,107 +1562,43 @@ impl ByzServerMachine {
     }
 
     /// Feeds one inbound message. Exchange messages feed the forge base;
-    /// gradients act as the round trigger when no exchange plane exists.
+    /// in exchange-ablated deployments the worker gradient stream is the
+    /// only online signal of round progress and acts as the round trigger.
     pub fn on_message(&mut self, from: usize, msg: &NodeMsg, out: &mut Vec<Output>) {
-        let spec = self.spec.clone();
-        let cfg = &spec.cfg;
-        match msg {
-            NodeMsg::Exchange { step, params } => {
-                if !cfg.exchange_plane() || *step + 1 < self.round {
-                    return;
-                }
-                if cfg.planned() {
-                    // Only the planned honest exchange set feeds the base —
-                    // anything else (peer forgeries, stale sends) would make
-                    // the base arrival-order dependent.
-                    if from >= cfg.honest_servers() || !spec.active(*step, from) {
-                        return;
-                    }
-                    ledger_insert(
-                        self.observed.entry(*step).or_default(),
-                        from,
-                        params.clone(),
-                    );
-                } else {
-                    self.observed
-                        .entry(*step)
-                        .or_default()
-                        .push((from, params.clone()));
-                }
-                self.advance(out);
-            }
-            NodeMsg::Gradient { step, .. } => {
-                if cfg.exchange_plane() || *step + 1 < self.round {
-                    return;
-                }
-                if cfg.planned() && !spec.computing(*step).contains(&from) {
-                    return;
-                }
-                // Exchange-ablated deployments: the worker gradient stream
-                // is the only online signal of round progress.
-                ledger_insert(
-                    self.observed.entry(*step).or_default(),
-                    from,
-                    Tensor::zeros(&[1]),
-                );
-                self.advance(out);
-            }
-            NodeMsg::Model { .. } => {}
-        }
-    }
-
-    fn round_ready(&self, t: u64) -> bool {
-        // Round t forges from the step t−1 observations.
-        if t == 0 {
-            return true;
-        }
-        let prev = t - 1;
-        let spec = &self.spec;
-        let cfg = &spec.cfg;
-        let seen = self.observed.get(&prev).map_or(0, Vec::len);
-        if cfg.planned() {
-            let expected = if cfg.exchange_plane() {
-                (0..cfg.honest_servers())
-                    .filter(|&p| spec.active(prev, p))
-                    .count()
-            } else {
-                spec.computing(prev).len()
-            };
-            seen >= expected
-        } else {
-            seen > 0
+        let step = msg.step();
+        let plane = self.spec.cfg.exchange_plane();
+        let verdict = match msg {
+            _ if step + 1 < self.round => return,
+            NodeMsg::Exchange { .. } if plane => self.spec.admit_exchange(step, self.me, from),
+            NodeMsg::Gradient { .. } if !plane => self.spec.admit_gradient(step, self.me, from),
+            _ => return,
+        };
+        if let Admit::Keep = verdict {
+            self.observed.insert(step, from, msg.vector());
+            self.advance(out);
         }
     }
 
     fn advance(&mut self, out: &mut Vec<Output>) {
         let spec = self.spec.clone();
         let cfg = &spec.cfg;
-        while self.round < cfg.max_steps && self.round_ready(self.round) {
+        let plane = cfg.exchange_plane();
+        // Round t forges from the step t−1 observations.
+        while self.round < cfg.max_steps
+            && (self.round == 0
+                || spec.observed_all(self.round - 1, self.observed.len(self.round - 1), !plane))
+        {
             let t = self.round;
-            let live = if cfg.planned() {
-                spec.server_forging(t)
-            } else {
-                windows_allow(&cfg.server_attack_windows, t)
-            };
-            if live {
-                let base: Vec<Tensor> = if t == 0 {
-                    vec![Tensor::zeros(&[self.dim])]
+            if cfg.server_attack_live(t) {
+                let mut base = if plane && t > 0 {
+                    self.observed.sorted(t - 1)
                 } else {
-                    let mut prev: Vec<(usize, Tensor)> =
-                        self.observed.get(&(t - 1)).cloned().unwrap_or_default();
-                    prev.sort_by_key(|(s, _)| *s);
-                    prev.dedup_by_key(|(s, _)| *s);
-                    let honest: Vec<Tensor> = prev
-                        .into_iter()
-                        .filter(|(_, p)| p.len() == self.dim)
-                        .map(|(_, p)| p)
-                        .collect();
-                    if honest.is_empty() {
-                        vec![Tensor::zeros(&[self.dim])]
-                    } else {
-                        honest
-                    }
+                    Vec::new()
                 };
+                base.retain(|p| p.len() == self.dim);
+                if base.is_empty() {
+                    base.push(Tensor::zeros(&[self.dim]));
+                }
                 for (idx, w) in
                     (cfg.cluster.servers..cfg.cluster.servers + cfg.cluster.workers).enumerate()
                 {
@@ -1636,7 +1613,7 @@ impl ByzServerMachine {
                         });
                     }
                 }
-                if cfg.exchange_plane() {
+                if plane {
                     for (idx, s) in (0..cfg.cluster.servers).enumerate() {
                         if s == self.me {
                             continue;
@@ -1655,8 +1632,7 @@ impl ByzServerMachine {
                 }
             }
             self.round += 1;
-            let r = self.round;
-            self.observed.retain(|&k, _| k + 1 >= r);
+            self.observed.prune_below(self.round - 1);
         }
     }
 }
@@ -1670,13 +1646,22 @@ mod tests {
         ClusterConfig::new(6, 1, 9, 2).unwrap()
     }
 
+    fn arrival_cfg(cluster: ClusterConfig) -> MachineConfig {
+        MachineConfig::honest(cluster, 4, LrSchedule::constant(0.05), GarKind::MultiKrum)
+    }
+
     fn planned_cfg(faults: FaultSchedule) -> MachineConfig {
-        let mut cfg =
-            MachineConfig::honest(cluster(), 4, LrSchedule::constant(0.05), GarKind::MultiKrum);
-        cfg.mode = QuorumMode::Planned;
-        cfg.recovery = true;
-        cfg.faults = faults;
-        cfg
+        MachineConfig {
+            mode: QuorumMode::Planned,
+            recovery: true,
+            faults,
+            ..arrival_cfg(cluster())
+        }
+    }
+
+    /// The same deployment with every quorum full (`q = n`, `q̄ = n̄`).
+    fn full_quorums() -> ClusterConfig {
+        ClusterConfig::with_quorums(6, 0, 9, 0, 6, 9).unwrap()
     }
 
     fn crash_server(server: usize, from: u64, until: u64) -> FaultSchedule {
@@ -1690,13 +1675,16 @@ mod tests {
     }
 
     /// A toy driver: routes every Send synchronously and answers
-    /// NeedGradient with a deterministic pseudo-gradient.
+    /// NeedGradient with a deterministic pseudo-gradient. Delivery is FIFO,
+    /// or — with a `shuffle` seed — a seeded random pick among the
+    /// messages in flight.
     struct Mesh {
         spec: Arc<MachineSpec>,
         servers: Vec<ServerMachine>,
         workers: Vec<WorkerMachine>,
         records: Vec<StepRecord>,
         recovered: usize,
+        shuffle: Option<u64>,
     }
 
     impl Mesh {
@@ -1723,7 +1711,36 @@ mod tests {
                 workers,
                 records: Vec::new(),
                 recovered: 0,
+                shuffle: None,
             }
+        }
+
+        /// Runs `cfg` to completion and returns its step records in
+        /// `(step, server)` order.
+        fn records_of(cfg: MachineConfig, shuffle: Option<u64>) -> Vec<StepRecord> {
+            let mut mesh = Mesh::new(cfg, 8);
+            mesh.shuffle = shuffle;
+            mesh.run();
+            mesh.records.sort_by_key(|r| (r.step, r.server));
+            mesh.records
+        }
+
+        /// The next message to deliver: the oldest, or a seeded random one.
+        fn next(
+            &mut self,
+            queue: &mut std::collections::VecDeque<(usize, usize, NodeMsg)>,
+        ) -> Option<(usize, usize, NodeMsg)> {
+            let Some(state) = &mut self.shuffle else {
+                return queue.pop_front();
+            };
+            if queue.is_empty() {
+                return None;
+            }
+            // xorshift64: any fixed full-period generator will do.
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            queue.swap_remove_back((*state % queue.len() as u64) as usize)
         }
 
         fn run(&mut self) {
@@ -1739,7 +1756,7 @@ mod tests {
                 self.workers[w].on_start(&mut out);
                 self.drain(id, &mut out, &mut queue);
             }
-            while let Some((from, to, msg)) = queue.pop_front() {
+            while let Some((from, to, msg)) = self.next(&mut queue) {
                 let ns = self.spec.cfg.cluster.servers;
                 if to < self.servers.len() {
                     self.servers[to].on_message(from, &msg, &mut out);
@@ -1846,25 +1863,31 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_planned_run_converges_and_agrees() {
-        let mut mesh = Mesh::new(planned_cfg(FaultSchedule::default()), 8);
-        mesh.run();
-        // 6 servers × 4 steps. Per-server gradient quorums keep the
-        // replicas heterogeneous; the contraction keeps them close.
-        assert_eq!(mesh.records.len(), 24);
-        let scale = mesh.servers[0].params().norm().max(1e-6);
-        for s in 1..mesh.servers.len() {
-            let gap = mesh.servers[0]
-                .params()
-                .distance(mesh.servers[s].params())
-                .unwrap();
-            assert!(
-                gap < 0.2 * scale,
-                "server {s} drifted: gap {gap} vs norm {scale}"
-            );
+    fn fault_free_run_converges_and_agrees_in_both_modes() {
+        for cfg in [
+            planned_cfg(FaultSchedule::default()),
+            arrival_cfg(cluster()),
+        ] {
+            let mode = cfg.mode;
+            let mut mesh = Mesh::new(cfg, 8);
+            mesh.run();
+            // 6 servers × 4 steps. Per-server gradient quorums keep the
+            // replicas heterogeneous; the contraction keeps them close.
+            assert_eq!(mesh.records.len(), 24, "{mode:?}");
+            let scale = mesh.servers[0].params().norm().max(1e-6);
+            for s in 1..mesh.servers.len() {
+                let gap = mesh.servers[0]
+                    .params()
+                    .distance(mesh.servers[s].params())
+                    .unwrap();
+                assert!(
+                    gap < 0.2 * scale,
+                    "{mode:?}: server {s} drifted: gap {gap} vs norm {scale}"
+                );
+            }
+            let trace = assemble_trace(&mesh.records);
+            assert_eq!(trace.len(), 4, "{mode:?}");
         }
-        let trace = assemble_trace(&mesh.records);
-        assert_eq!(trace.len(), 4);
     }
 
     #[test]
@@ -1918,13 +1941,263 @@ mod tests {
     }
 
     #[test]
-    fn planned_run_is_replay_stable() {
-        let run = || {
-            let mut mesh = Mesh::new(planned_cfg(crash_server(2, 1, 2)), 8);
-            mesh.run();
-            assemble_trace(&mesh.records).fingerprint()
+    fn runs_are_replay_stable_in_both_modes() {
+        for cfg in [planned_cfg(crash_server(2, 1, 2)), arrival_cfg(cluster())] {
+            for shuffle in [None, Some(0x9E37_79B9)] {
+                let run = || Mesh::records_of(cfg.clone(), shuffle);
+                assert_eq!(run(), run(), "{:?} shuffle {shuffle:?}", cfg.mode);
+            }
+        }
+    }
+
+    /// The claim behind "one fold path, two oracles": with every quorum
+    /// full and no faults the first-`q` oracle and the planner name the
+    /// same members, so the two modes — and any delivery order — produce
+    /// the same records.
+    #[test]
+    fn full_quorum_arrival_is_order_independent_and_equals_planned() {
+        let arrival = arrival_cfg(full_quorums());
+        let planned = MachineConfig {
+            mode: QuorumMode::Planned,
+            ..arrival.clone()
         };
-        assert_eq!(run(), run());
+        let reference = Mesh::records_of(planned.clone(), None);
+        assert_eq!(reference.len(), 24);
+        assert!(reference
+            .iter()
+            .all(|r| r.grad_quorum.len() == 9 && r.exch_quorum.len() == 6));
+        for shuffle in [None, Some(1), Some(0xDEAD_BEEF), Some(0x5EED_5EED_5EED)] {
+            assert_eq!(
+                Mesh::records_of(arrival.clone(), shuffle),
+                reference,
+                "arrival, shuffle {shuffle:?}"
+            );
+            assert_eq!(
+                Mesh::records_of(planned.clone(), shuffle),
+                reference,
+                "planned, shuffle {shuffle:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn partial_quorum_arrival_folds_exactly_q_distinct_members() {
+        let distinct = |ids: &[usize]| ids.windows(2).all(|w| w[0] < w[1]);
+        for shuffle in [None, Some(7), Some(0xC0FF_EE00), Some(0x1234_5678_9ABC)] {
+            let records = Mesh::records_of(arrival_cfg(cluster()), shuffle);
+            assert_eq!(records.len(), 24, "shuffle {shuffle:?}");
+            for r in &records {
+                assert_eq!(r.grad_quorum.len(), 7, "q̄ gradients: {r:?}");
+                assert_eq!(r.exch_quorum.len(), 5, "q exchanges: {r:?}");
+                assert!(
+                    distinct(&r.grad_quorum) && distinct(&r.exch_quorum),
+                    "{r:?}"
+                );
+                assert!(r.grad_quorum.iter().all(|w| (6..15).contains(w)), "{r:?}");
+                assert!(r.exch_quorum.iter().all(|s| (0..6).contains(s)), "{r:?}");
+            }
+        }
+    }
+
+    fn vector(x: f32) -> Tensor {
+        Tensor::full(&[4], x)
+    }
+
+    fn gradient(step: u64, x: f32) -> NodeMsg {
+        NodeMsg::Gradient {
+            step,
+            grad: vector(x),
+        }
+    }
+
+    fn exchange(step: u64, x: f32) -> NodeMsg {
+        NodeMsg::Exchange {
+            step,
+            params: vector(x),
+        }
+    }
+
+    fn model(step: u64, x: f32) -> NodeMsg {
+        NodeMsg::Model {
+            step,
+            params: vector(x),
+        }
+    }
+
+    /// Honest server 0 of `cfg`, started, over a 4-coordinate model.
+    fn started_server(cfg: MachineConfig) -> ServerMachine {
+        let spec = MachineSpec::new(cfg).unwrap();
+        let gar = spec
+            .cfg
+            .server_gar
+            .build(spec.cfg.cluster.krum_f())
+            .unwrap();
+        let mut server = ServerMachine::new(spec, 0, vector(0.0), 0, gar);
+        server.on_start(&mut Vec::new());
+        server
+    }
+
+    fn sends_exchange(out: &[Output]) -> bool {
+        out.iter().any(|o| {
+            matches!(
+                o,
+                Output::Send {
+                    msg: NodeMsg::Exchange { .. },
+                    ..
+                }
+            )
+        })
+    }
+
+    fn completes_step(out: &[Output]) -> bool {
+        out.iter().any(|o| matches!(o, Output::Step(_)))
+    }
+
+    fn needs_gradient(out: &[Output]) -> bool {
+        out.iter().any(|o| matches!(o, Output::NeedGradient { .. }))
+    }
+
+    /// Feeds server 0 seven distinct honest gradients for step 0, which
+    /// moves it into the exchange phase.
+    fn fill_gradient_quorum(server: &mut ServerMachine) {
+        let mut out = Vec::new();
+        for w in 6..13 {
+            server.on_message(w, &gradient(0, w as f32), &mut out);
+        }
+        assert!(sends_exchange(&out), "q̄ distinct gradients fold");
+        assert!(!completes_step(&out));
+    }
+
+    #[test]
+    fn a_repeated_message_never_fills_an_arrival_quorum() {
+        // q̄ = 7 copies of one worker's gradient: one slot, no fold.
+        let mut server = started_server(arrival_cfg(cluster()));
+        let mut out = Vec::new();
+        for k in 0..7 {
+            server.on_message(6, &gradient(0, k as f32), &mut out);
+        }
+        assert!(!sends_exchange(&out), "one sender filled the q̄ slots");
+        // Six more distinct senders complete the quorum; the repeats'
+        // first message is the one that counts.
+        for w in 7..13 {
+            server.on_message(w, &gradient(0, 1.0), &mut out);
+        }
+        assert!(sends_exchange(&out));
+
+        // q = 5 copies of one peer's exchange next to the server's own.
+        let mut out = Vec::new();
+        for k in 0..5 {
+            server.on_message(1, &exchange(0, k as f32), &mut out);
+        }
+        assert!(!completes_step(&out), "one peer filled the q slots");
+        for s in 2..5 {
+            server.on_message(s, &exchange(0, 1.0), &mut out);
+        }
+        let Some(Output::Step(record)) = out.iter().find(|o| matches!(o, Output::Step(_))) else {
+            panic!("self + 4 distinct peers fold");
+        };
+        assert_eq!(record.grad_quorum, (6..13).collect::<Vec<_>>());
+        assert_eq!(record.exch_quorum, vec![0, 1, 2, 3, 4]);
+
+        // q = 5 copies of one server's model at a worker.
+        let spec = MachineSpec::new(arrival_cfg(cluster())).unwrap();
+        let mut worker = WorkerMachine::new(spec, 6, 4);
+        let mut out = Vec::new();
+        worker.on_start(&mut out);
+        for k in 0..5 {
+            worker.on_message(0, &model(0, k as f32), &mut out);
+        }
+        assert!(!needs_gradient(&out), "one server filled the q slots");
+        for s in 1..5 {
+            worker.on_message(s, &model(0, 1.0), &mut out);
+        }
+        assert!(needs_gradient(&out));
+    }
+
+    #[test]
+    fn a_sender_whose_role_cannot_produce_the_message_is_ignored() {
+        for cfg in [
+            arrival_cfg(cluster()),
+            planned_cfg(FaultSchedule::default()),
+        ] {
+            let mode = cfg.mode;
+            // Gradients from server ids (the receiver's own included) and
+            // from outside the cluster: ≥ q̄ distinct senders, no fold.
+            let mut server = started_server(cfg.clone());
+            let mut out = Vec::new();
+            for from in (0..6).chain(15..18) {
+                server.on_message(from, &gradient(0, 1.0), &mut out);
+            }
+            assert!(!sends_exchange(&out), "{mode:?}: servers sent gradients");
+            // Exchanges from worker ids, from outside the cluster and from
+            // the receiver itself: ≥ q distinct senders, no fold.
+            fill_gradient_quorum(&mut server);
+            let mut out = Vec::new();
+            for from in (6..15).chain(15..18).chain([0]) {
+                server.on_message(from, &exchange(0, 1.0), &mut out);
+            }
+            assert!(!completes_step(&out), "{mode:?}: workers sent exchanges");
+            // Models from worker ids (the receiver's own included) and
+            // from outside the cluster.
+            let mut worker = WorkerMachine::new(MachineSpec::new(cfg).unwrap(), 6, 4);
+            let mut out = Vec::new();
+            worker.on_start(&mut out);
+            for from in 6..18 {
+                worker.on_message(from, &model(0, 1.0), &mut out);
+            }
+            assert!(!needs_gradient(&out), "{mode:?}: workers sent models");
+        }
+    }
+
+    #[test]
+    fn ledger_gives_each_sender_one_slot_and_keeps_arrival_order() {
+        let mut ledger = Ledger::default();
+        for (from, x) in [(9, 1.0), (3, 2.0), (9, 3.0), (5, 4.0), (3, 5.0)] {
+            ledger.insert(0, from, &vector(x));
+        }
+        assert_eq!(ledger.len(0), 3, "distinct senders");
+        assert_eq!(ledger.len(1), 0);
+        // First wins: the repeats' later payloads are gone.
+        assert_eq!(
+            ledger.collect(0, &[3, 5, 9]),
+            Some(vec![vector(2.0), vector(4.0), vector(1.0)])
+        );
+        assert_eq!(ledger.collect(0, &[3, 4]), None, "4 never sent");
+        assert_eq!(ledger.collect(1, &[]), Some(Vec::new()));
+        // The first two *arrivals* are 9 and 3 — not the two lowest ids.
+        assert_eq!(
+            ledger.first_sorted(0, 2),
+            Some((vec![3, 9], vec![vector(2.0), vector(1.0)]))
+        );
+        assert_eq!(ledger.first_sorted(0, 4), None, "below quorum");
+        assert_eq!(ledger.first_sorted(1, 1), None);
+        assert_eq!(
+            ledger.sorted(0),
+            vec![vector(2.0), vector(4.0), vector(1.0)]
+        );
+        assert!(ledger.sorted(1).is_empty());
+    }
+
+    #[test]
+    fn ledger_recovery_target_and_pruning() {
+        let mut ledger = Ledger::default();
+        for (step, senders) in [(2, 3), (4, 3), (5, 2), (7, 1)] {
+            for from in 0..senders {
+                ledger.insert(step, from, &vector(step as f32));
+            }
+        }
+        // Steps 5 and 7 are newer but hold fewer than 3 distinct senders;
+        // a sender repeating itself there changes nothing.
+        ledger.insert(7, 0, &vector(0.0));
+        ledger.insert(7, 0, &vector(0.0));
+        assert_eq!(ledger.newest_quorate_above(0, 3), Some(4));
+        assert_eq!(ledger.newest_quorate_above(2, 3), Some(4));
+        assert_eq!(ledger.newest_quorate_above(4, 3), None, "strictly above");
+        assert_eq!(ledger.newest_quorate_above(0, 1), Some(7));
+        ledger.prune_below(5);
+        assert_eq!((ledger.len(2), ledger.len(4)), (0, 0));
+        assert_eq!((ledger.len(5), ledger.len(7)), (2, 1));
+        assert_eq!(ledger.newest_quorate_above(0, 3), None);
     }
 
     #[test]

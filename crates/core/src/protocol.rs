@@ -29,7 +29,7 @@ use tensor::{Tensor, TensorRng};
 
 use crate::config::ClusterConfig;
 use crate::cost::CostModel;
-use crate::faults::FaultSchedule;
+use crate::faults::{FaultKind, FaultSchedule};
 use crate::node::{self, MachineConfig, Output, QuorumMode, StepRecord};
 use crate::plant::{GradientSource, Node, Plant};
 use crate::trace::Trace;
@@ -126,11 +126,12 @@ pub struct ProtocolConfig {
     /// Their attack.
     pub server_attack: Option<AttackKind>,
     /// Attack onset/offset windows for the workers' attack, in steps
-    /// (`[start, end)` each; see [`crate::faults::windows_allow`]). Empty
-    /// = live from step 0. Outside every window the Byzantine workers
-    /// stay mute. Gated on the *step carried in the triggering message*,
-    /// so onset is exact under asynchrony and gaps between disjoint
-    /// windows match the lockstep engine's gating.
+    /// (`[start, end)` each; they join `faults` as
+    /// [`FaultKind::WorkerAttack`] windows). With none here and none in
+    /// `faults` the attack is live from step 0. Outside every window the
+    /// Byzantine workers stay mute. Gated on the *step carried in the
+    /// triggering message*, so onset is exact under asynchrony and gaps
+    /// between disjoint windows match the lockstep engine's gating.
     pub worker_attack_windows: Vec<(u64, u64)>,
     /// Same gating for the server attack.
     pub server_attack_windows: Vec<(u64, u64)>,
@@ -149,23 +150,33 @@ pub struct ProtocolConfig {
     /// trace bit-identical across engines under faults.
     pub mode: QuorumMode,
     /// Fault schedule driving planned-mode membership (and the machines'
-    /// crash-window message discards). Ignored in arrival mode.
+    /// crash-window message discards). In arrival mode only its attack
+    /// windows are read.
     pub faults: FaultSchedule,
 }
 
 impl ProtocolConfig {
     fn machine_config(&self, seed: u64) -> MachineConfig {
+        // The machines gate the adversary on the schedule's attack windows,
+        // so the two window lists join it. A window the schedule already
+        // carries is listed twice; the gate is an "inside any window" test,
+        // so the result is the union either way.
+        let mut faults = self.faults.clone();
+        for &(start, end) in &self.worker_attack_windows {
+            faults = faults.with(start, end, FaultKind::WorkerAttack);
+        }
+        for &(start, end) in &self.server_attack_windows {
+            faults = faults.with(start, end, FaultKind::ServerAttack);
+        }
         MachineConfig {
             seed,
             actual_byz_workers: self.actual_byz_workers,
             worker_attack: self.worker_attack,
             actual_byz_servers: self.actual_byz_servers,
             server_attack: self.server_attack,
-            worker_attack_windows: self.worker_attack_windows.clone(),
-            server_attack_windows: self.server_attack_windows.clone(),
             recovery: self.recovery,
             mode: self.mode,
-            faults: self.faults.clone(),
+            faults,
             ..MachineConfig::honest(self.cluster, self.max_steps, self.lr, self.server_gar)
         }
     }
@@ -564,6 +575,20 @@ mod tests {
         // With the window open the forgeries flow and the trace moves.
         windowed.worker_attack_windows = vec![(0, 200)];
         assert_ne!(fingerprint(&windowed), fingerprint(&muted));
+    }
+
+    #[test]
+    fn attack_window_lists_join_the_schedule_as_a_union() {
+        let mut cfg = base_cfg(10);
+        cfg.worker_attack_windows = vec![(2, 4), (6, 8)];
+        cfg.faults = FaultSchedule::none()
+            .with(2, 4, FaultKind::WorkerAttack)
+            .with(0, 1, FaultKind::ServerAttack);
+        let faults = cfg.machine_config(0).faults;
+        let live =
+            |active: &dyn Fn(u64) -> bool| (0..10).filter(|&t| active(t)).collect::<Vec<_>>();
+        assert_eq!(live(&|t| faults.worker_attack_active(t)), vec![2, 3, 6, 7]);
+        assert_eq!(live(&|t| faults.server_attack_active(t)), vec![0]);
     }
 
     #[test]

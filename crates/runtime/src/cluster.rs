@@ -150,8 +150,6 @@ impl RuntimeConfig {
             worker_attack: self.worker_attack,
             actual_byz_servers: self.actual_byz_servers,
             server_attack: self.server_attack,
-            worker_attack_windows: self.faults.worker_attack_windows(),
-            server_attack_windows: self.faults.server_attack_windows(),
             recovery: self.recovery,
             mode: self.mode,
             faults: self.faults.clone(),
