@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::{Gar, Result};
 
@@ -37,9 +37,9 @@ impl Gar for Average {
 
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, 1)?;
-        let mut out = vec![0.0f32; dims.iter().product()];
-        kernel::average_into(Exec::auto(), &kernel::views(inputs), &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::average_into(Exec::auto(), &kernel::views(inputs), out)
+        }))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::krum::ScoreMetric;
 use crate::{AggregationError, Gar, Result};
@@ -102,11 +102,10 @@ impl Gar for Bulyan {
 
         // Phase 2: per-coordinate, average the beta values closest to the
         // median of the selection set.
-        let volume: usize = dims.iter().product();
         let chosen: Vec<&[f32]> = selected.iter().map(|&i| views[i]).collect();
-        let mut out = vec![0.0f32; volume];
-        kernel::bulyan_fold_into(exec, &chosen, beta, &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::bulyan_fold_into(exec, &chosen, beta, out)
+        }))
     }
 }
 

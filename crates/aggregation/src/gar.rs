@@ -73,6 +73,15 @@ pub(crate) fn validate_inputs(inputs: &[Tensor], minimum: usize) -> Result<Vec<u
     Ok(expected)
 }
 
+/// Folds straight into the result: allocates the output tensor of shape
+/// `dims` once and runs `fold` on its (uniquely owned) buffer, where a
+/// `Vec` scratch would cost a second `d`-sized allocation and a copy.
+pub(crate) fn fold_into(dims: &[usize], fold: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut out = Tensor::zeros(dims);
+    fold(out.as_mut_slice());
+    out
+}
+
 /// An enumeration of the rules shipped by this crate, for configuration
 /// files and experiment manifests.
 ///

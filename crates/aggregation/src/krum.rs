@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::{Gar, Result};
 
@@ -188,9 +188,9 @@ impl Gar for MultiKrum {
         // just borrowed views of the selected buffers.
         let views = kernel::views(inputs);
         let chosen: Vec<&[f32]> = selected.iter().map(|&i| views[i]).collect();
-        let mut out = vec![0.0f32; dims.iter().product()];
-        kernel::average_into(Exec::auto(), &chosen, &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::average_into(Exec::auto(), &chosen, out)
+        }))
     }
 }
 

@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::{AggregationError, Gar, Result};
 
@@ -56,10 +56,9 @@ impl Gar for Meamed {
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, self.minimum_inputs())?;
         let keep = inputs.len() - self.f;
-        let volume: usize = dims.iter().product();
-        let mut out = vec![0.0f32; volume];
-        kernel::meamed_into(Exec::auto(), &kernel::views(inputs), keep, &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::meamed_into(Exec::auto(), &kernel::views(inputs), keep, out)
+        }))
     }
 }
 

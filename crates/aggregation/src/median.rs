@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::{Gar, Result};
 
@@ -54,10 +54,9 @@ impl Gar for CoordinateWiseMedian {
 
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, 1)?;
-        let volume: usize = dims.iter().product();
-        let mut out = vec![0.0f32; volume];
-        kernel::median_into(Exec::auto(), &kernel::views(inputs), &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::median_into(Exec::auto(), &kernel::views(inputs), out)
+        }))
     }
 }
 

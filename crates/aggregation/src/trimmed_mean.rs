@@ -2,7 +2,7 @@
 
 use tensor::Tensor;
 
-use crate::gar::validate_inputs;
+use crate::gar::{fold_into, validate_inputs};
 use crate::kernel::{self, Exec};
 use crate::{AggregationError, Gar, Result};
 
@@ -54,10 +54,9 @@ impl Gar for TrimmedMean {
 
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, self.minimum_inputs())?;
-        let volume: usize = dims.iter().product();
-        let mut out = vec![0.0f32; volume];
-        kernel::trimmed_mean_into(Exec::auto(), &kernel::views(inputs), self.f, &mut out);
-        Ok(Tensor::from_vec(out, &dims)?)
+        Ok(fold_into(&dims, |out| {
+            kernel::trimmed_mean_into(Exec::auto(), &kernel::views(inputs), self.f, out)
+        }))
     }
 }
 

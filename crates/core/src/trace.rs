@@ -18,6 +18,12 @@ use tensor::Tensor;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Four FNV steps over zero bytes: `h ^ 0` is `h`, so each step is one
+/// multiply and the run folds into one (exact in wrapping arithmetic).
+const FNV_PRIME_POW4: u64 = FNV_PRIME
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME);
 
 /// Incremental FNV-1a hasher over words.
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +43,17 @@ impl DigestHasher {
             h = h.wrapping_mul(FNV_PRIME);
         }
         self.0 = h;
+    }
+
+    /// [`DigestHasher::write_u64`] of a word whose high half is zero: the
+    /// four low bytes, then the four zero bytes as one multiply.
+    fn write_low_u32(&mut self, word: u32) {
+        let mut h = self.0;
+        for shift in [0, 8, 16, 24] {
+            h ^= u64::from((word >> shift) & 0xFF);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.0 = h.wrapping_mul(FNV_PRIME_POW4);
     }
 
     /// Folds a tensor's raw bit pattern (length then every coordinate).
@@ -88,8 +105,12 @@ pub fn positional_digest(offset: usize, data: &[f32]) -> u64 {
     let mut acc = 0u64;
     for (i, &x) in data.iter().enumerate() {
         let mut h = DigestHasher::new();
-        h.write_u64((offset + i) as u64);
-        h.write_u64(u64::from(x.to_bits()));
+        let index = (offset + i) as u64;
+        match u32::try_from(index) {
+            Ok(low) => h.write_low_u32(low),
+            Err(_) => h.write_u64(index),
+        }
+        h.write_low_u32(x.to_bits());
         acc ^= h.finish();
     }
     acc
@@ -182,6 +203,43 @@ mod tests {
                 acc ^= positional_digest(w[0], &full[w[0]..w[1]]);
             }
             assert_eq!(acc, whole, "tiling {splits:?} must recompose");
+        }
+    }
+
+    /// The digest by its definition: sixteen byte-at-a-time FNV-1a steps
+    /// per coordinate, zero bytes included.
+    fn positional_digest_bytewise(offset: usize, data: &[f32]) -> u64 {
+        let mut acc = 0u64;
+        for (i, &x) in data.iter().enumerate() {
+            let mut h = FNV_OFFSET;
+            for word in [(offset + i) as u64, u64::from(x.to_bits())] {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+                }
+            }
+            acc ^= h;
+        }
+        acc
+    }
+
+    #[test]
+    fn positional_digest_matches_the_bytewise_reference() {
+        let mut rng = tensor::TensorRng::new(0xD16E57);
+        let mut offsets = vec![0, 1, 255, 256, 64_969];
+        // Around and past the point where the index word's high half stops
+        // being zero (the folded multiply no longer applies).
+        let edge = u32::MAX as usize;
+        offsets.extend([edge - 3, edge, edge + 1, edge << 7, usize::MAX - 40]);
+        offsets.extend((0..20).map(|_| rng.next_u64() as usize >> 1));
+        for offset in offsets {
+            let data: Vec<f32> = (0..9)
+                .map(|_| f32::from_bits(rng.next_u64() as u32))
+                .collect();
+            assert_eq!(
+                positional_digest(offset, &data),
+                positional_digest_bytewise(offset, &data),
+                "offset {offset}"
+            );
         }
     }
 

@@ -70,9 +70,7 @@ impl Tensor {
 
     /// A tensor filled with zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let data = vec![0.0; shape.volume()].into();
-        Tensor { shape, data }
+        Self::full(dims, 0.0)
     }
 
     /// A tensor filled with ones.
@@ -80,10 +78,11 @@ impl Tensor {
         Self::full(dims, 1.0)
     }
 
-    /// A tensor filled with `value`.
+    /// A tensor filled with `value`. Collects straight into the shared
+    /// buffer (one allocation; a `Vec` → `Arc<[f32]>` conversion would copy).
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        let data = vec![value; shape.volume()].into();
+        let data = std::iter::repeat_n(value, shape.volume()).collect();
         Tensor { shape, data }
     }
 
