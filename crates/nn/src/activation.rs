@@ -26,8 +26,17 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let mask: Vec<bool> = input.as_slice().iter().map(|&v| v > 0.0).collect();
-        let out = input.map(|v| if v > 0.0 { v } else { 0.0 });
+        let mut mask = vec![false; input.len()];
+        let mut out = Tensor::zeros(input.dims());
+        for ((o, m), &v) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(&mut mask)
+            .zip(input.as_slice())
+        {
+            *m = v > 0.0;
+            *o = if *m { v } else { 0.0 };
+        }
         self.mask = Some(mask);
         Ok(out)
     }
@@ -44,11 +53,14 @@ impl Layer for Relu {
                 got: grad_out.dims().to_vec(),
             });
         }
-        let mut dx = grad_out.clone();
-        for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+        let mut dx = Tensor::zeros(grad_out.dims());
+        for ((d, &g), &m) in dx
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_out.as_slice())
+            .zip(mask)
+        {
+            *d = if m { g } else { 0.0 };
         }
         Ok(dx)
     }

@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col + matrix multiplication.
 
-use tensor::{Tensor, TensorRng};
+use tensor::{gemm_into, Tensor, TensorRng};
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
@@ -42,7 +42,10 @@ impl Padding {
 /// The forward pass lowers each sample to a column matrix (im2col) and
 /// multiplies by the weight matrix; the backward pass recomputes the columns
 /// from the cached input (trading FLOPs for memory — caching columns for a
-/// batch of CIFAR-sized activations would cost hundreds of MB).
+/// batch of CIFAR-sized activations would cost hundreds of MB). Both passes
+/// run [`gemm_into`] straight on slices of the batch buffers: the scratch of
+/// a call is one sample's column matrix (forward) or its transpose plus the
+/// column gradients (backward), reused from sample to sample.
 #[derive(Debug)]
 pub struct Conv2d {
     in_channels: usize,
@@ -91,44 +94,52 @@ impl Conv2d {
         (oh, ow)
     }
 
-    /// Lowers one sample `[c, h, w]` (slice of the batch buffer) into a
-    /// column matrix `[c·k·k, oh·ow]`.
-    #[allow(clippy::too_many_arguments)]
-    fn im2col(
-        &self,
-        sample: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        pad_h: usize,
-        pad_w: usize,
-        cols: &mut [f32],
-    ) {
-        let k = self.kernel;
-        let s = self.stride;
-        let c_in = self.in_channels;
-        let n_cols = oh * ow;
-        for c in 0..c_in {
-            let plane = &sample[c * h * w..(c + 1) * h * w];
+    /// Spatial geometry of one call on an `h × w` input.
+    fn geometry(&self, h: usize, w: usize) -> Geometry {
+        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
+        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
+        Geometry {
+            h,
+            w,
+            oh,
+            ow,
+            pad_h,
+            pad_w,
+            flat: self.stride == 1 && oh == h && ow == w,
+        }
+    }
+
+    /// Lowers one sample `[c, h, w]` into a column matrix `[c·k·k, oh·ow]`,
+    /// one row per kernel tap `(c, kh, kw)`.
+    ///
+    /// `cols` must come in zeroed or from an earlier call with the same
+    /// geometry: the flat path never writes the cells above and below the
+    /// plane.
+    fn im2col(&self, g: &Geometry, sample: &[f32], cols: &mut [f32]) {
+        let (k, s) = (self.kernel, self.stride);
+        let cells = g.oh * g.ow;
+        for (c, plane) in sample.chunks_exact(g.h * g.w).enumerate() {
             for kh in 0..k {
                 for kw in 0..k {
-                    let row = (c * k + kh) * k + kw;
-                    let dst = &mut cols[row * n_cols..(row + 1) * n_cols];
-                    for oy in 0..oh {
-                        let iy = (oy * s + kh) as isize - pad_h as isize;
-                        let base = oy * ow;
-                        if iy < 0 || iy >= h as isize {
-                            dst[base..base + ow].fill(0.0);
-                            continue;
+                    let tap = (c * k + kh) * k + kw;
+                    let dst = &mut cols[tap * cells..(tap + 1) * cells];
+                    if g.flat {
+                        let (lo, hi, src_lo) = g.shifted(kh, kw);
+                        dst[lo..hi].copy_from_slice(&plane[src_lo..src_lo + (hi - lo)]);
+                        for cell in g.wrapped(kw) {
+                            dst[cell] = 0.0;
                         }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * s + kw) as isize - pad_w as isize;
-                            dst[base + ox] = if ix < 0 || ix >= w as isize {
-                                0.0
+                        continue;
+                    }
+                    // Cell by cell: any stride, any padding.
+                    for oy in 0..g.oh {
+                        let iy = (oy * s + kh).wrapping_sub(g.pad_h);
+                        for ox in 0..g.ow {
+                            let ix = (ox * s + kw).wrapping_sub(g.pad_w);
+                            dst[oy * g.ow + ox] = if iy < g.h && ix < g.w {
+                                plane[iy * g.w + ix]
                             } else {
-                                plane[iy * w + ix as usize]
+                                0.0
                             };
                         }
                     }
@@ -137,40 +148,61 @@ impl Conv2d {
         }
     }
 
-    /// Scatters column gradients back onto an input-gradient sample
-    /// (the adjoint of [`Conv2d::im2col`]).
-    #[allow(clippy::too_many_arguments)]
-    fn col2im(
-        &self,
-        dcols: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        pad_h: usize,
-        pad_w: usize,
-        dsample: &mut [f32],
-    ) {
-        let k = self.kernel;
-        let s = self.stride;
-        let c_in = self.in_channels;
-        let n_cols = oh * ow;
-        for c in 0..c_in {
-            let plane = &mut dsample[c * h * w..(c + 1) * h * w];
+    /// Lowers one sample into the transpose of its column matrix,
+    /// `[oh·ow, c·k·k]` — the right operand of `dW += dy · colsᵀ` — one
+    /// output cell, i.e. one contiguous row, at a time, for any geometry:
+    /// entry `(cell, tap)` is `padded[cell_at[cell] + tap_at[tap]]`, where
+    /// `padded` holds the sample's planes with their zero border (only the
+    /// interior is ever written, so the border stays zero from sample to
+    /// sample).
+    fn im2row(&self, g: &Geometry, sample: &[f32], patches: &mut Patches, rows: &mut [f32]) {
+        let planes = sample.chunks_exact(g.h * g.w);
+        let pplanes = patches.padded.chunks_exact_mut(patches.ph * patches.pw);
+        for (plane, pplane) in planes.zip(pplanes) {
+            let interior = pplane.chunks_exact_mut(patches.pw).skip(g.pad_h);
+            for (row, prow) in plane.chunks_exact(g.w).zip(interior) {
+                prow[g.pad_w..g.pad_w + g.w].copy_from_slice(row);
+            }
+        }
+        let rows = rows.chunks_exact_mut(patches.tap_at.len());
+        for (row, &cell_at) in rows.zip(&patches.cell_at) {
+            let window = &patches.padded[cell_at..];
+            for (d, &tap_at) in row.iter_mut().zip(&patches.tap_at) {
+                *d = window[tap_at];
+            }
+        }
+    }
+
+    /// Scatters column gradients back onto an input-gradient sample (the
+    /// adjoint of [`Conv2d::im2col`]). The flat path first zeroes the
+    /// wrapped cells of `dcols`, then adds whole shifted rows: the extra
+    /// terms are `+0.0`, and `dsample` — sums that start from `+0.0` — can
+    /// never hold the `-0.0` such a term would change.
+    fn col2im(&self, g: &Geometry, dcols: &mut [f32], dsample: &mut [f32]) {
+        let (k, s) = (self.kernel, self.stride);
+        let cells = g.oh * g.ow;
+        for (c, plane) in dsample.chunks_exact_mut(g.h * g.w).enumerate() {
             for kh in 0..k {
                 for kw in 0..k {
-                    let row = (c * k + kh) * k + kw;
-                    let src = &dcols[row * n_cols..(row + 1) * n_cols];
-                    for oy in 0..oh {
-                        let iy = (oy * s + kh) as isize - pad_h as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
+                    let tap = (c * k + kh) * k + kw;
+                    let src = &mut dcols[tap * cells..(tap + 1) * cells];
+                    if g.flat {
+                        let (lo, hi, dst_lo) = g.shifted(kh, kw);
+                        for cell in g.wrapped(kw) {
+                            src[cell] = 0.0;
                         }
-                        let iy = iy as usize;
-                        for ox in 0..ow {
-                            let ix = (ox * s + kw) as isize - pad_w as isize;
-                            if ix >= 0 && ix < w as isize {
-                                plane[iy * w + ix as usize] += src[oy * ow + ox];
+                        let dst = &mut plane[dst_lo..dst_lo + (hi - lo)];
+                        for (p, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                            *p += v;
+                        }
+                        continue;
+                    }
+                    for oy in 0..g.oh {
+                        let iy = (oy * s + kh).wrapping_sub(g.pad_h);
+                        for ox in 0..g.ow {
+                            let ix = (ox * s + kw).wrapping_sub(g.pad_w);
+                            if iy < g.h && ix < g.w {
+                                plane[iy * g.w + ix] += src[oy * g.ow + ox];
                             }
                         }
                     }
@@ -200,6 +232,81 @@ impl Conv2d {
     }
 }
 
+/// Spatial geometry of one [`Conv2d`] call.
+struct Geometry {
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    pad_h: usize,
+    pad_w: usize,
+    /// Stride 1 and an output as large as the input (every model
+    /// constructor in the repo): row `(c, kh, kw)` of the column matrix is
+    /// plane `c` shifted by a constant flat offset, except for the cells
+    /// whose column index wrapped into a neighbouring image row. Any other
+    /// geometry takes the cell-by-cell path.
+    flat: bool,
+}
+
+impl Geometry {
+    /// The flat copy for kernel offset `(kh, kw)`: column cells `lo..hi`
+    /// correspond to plane cells `src_lo..src_lo + (hi - lo)`; every other
+    /// column cell lies above or below the plane.
+    fn shifted(&self, kh: usize, kw: usize) -> (usize, usize, usize) {
+        let hw = (self.h * self.w) as isize;
+        let shift = (kh as isize - self.pad_h as isize) * self.w as isize + kw as isize
+            - self.pad_w as isize;
+        let lo = (-shift).clamp(0, hw);
+        let hi = (hw - shift).clamp(lo, hw);
+        (lo as usize, hi as usize, (lo + shift).clamp(0, hw) as usize)
+    }
+
+    /// The cells of one flat-shifted row whose input column
+    /// `ox + kw - pad_w` falls outside the plane: the shift made them read
+    /// (or write) the neighbouring image row, so they must be zero.
+    fn wrapped(&self, kw: usize) -> impl Iterator<Item = usize> {
+        let w = self.w;
+        let dx = kw as isize - self.pad_w as isize;
+        let columns = if dx < 0 {
+            0..dx.unsigned_abs().min(w)
+        } else {
+            w - (dx as usize).min(w)..w
+        };
+        (0..self.h).flat_map(move |oy| columns.clone().map(move |ox| oy * w + ox))
+    }
+}
+
+/// Scratch of [`Conv2d::im2row`]: one sample's planes with their zero
+/// border and the two offset tables that address a kernel window in them.
+struct Patches {
+    /// `[c, ph, pw]`; plane interiors start at `(pad_h, pad_w)`.
+    padded: Vec<f32>,
+    ph: usize,
+    pw: usize,
+    /// Offset of tap `(c, kh, kw)` inside the window of output cell 0.
+    tap_at: Vec<usize>,
+    /// Offset of each output cell's window (its top-left corner).
+    cell_at: Vec<usize>,
+}
+
+impl Patches {
+    fn new(g: &Geometry, c_in: usize, k: usize, s: usize) -> Self {
+        // Every kernel window lies inside the padded plane.
+        let ph = (g.h + g.pad_h).max((g.oh - 1) * s + k);
+        let pw = (g.w + g.pad_w).max((g.ow - 1) * s + k);
+        let taps = (0..c_in * k * k).map(|tap| (tap / (k * k), tap / k % k, tap % k));
+        Patches {
+            padded: vec![0.0; c_in * ph * pw],
+            ph,
+            pw,
+            tap_at: taps.map(|(c, kh, kw)| (c * ph + kh) * pw + kw).collect(),
+            cell_at: (0..g.oh * g.ow)
+                .map(|cell| (cell / g.ow * pw + cell % g.ow) * s)
+                .collect(),
+        }
+    }
+}
+
 impl Layer for Conv2d {
     fn name(&self) -> String {
         format!(
@@ -210,26 +317,20 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let (batch, h, w) = self.check_input(input)?;
-        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
-        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
+        let g = self.geometry(h, w);
+        let oc = self.out_channels;
         let ckk = self.in_channels * self.kernel * self.kernel;
-        let n_cols = oh * ow;
-        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
+        let n_cols = g.oh * g.ow;
+        let mut out = Tensor::zeros(&[batch, oc, g.oh, g.ow]);
         let mut cols = vec![0.0f32; ckk * n_cols];
-        for b in 0..batch {
-            let sample = &input.as_slice()[b * self.in_channels * h * w..];
-            self.im2col(sample, h, w, oh, ow, pad_h, pad_w, &mut cols);
-            let cols_t = Tensor::from_vec(cols.clone(), &[ckk, n_cols])?;
-            let out_mat = self.weight.matmul(&cols_t)?; // [oc, oh*ow]
-            let dst = &mut out.as_mut_slice()
-                [b * self.out_channels * n_cols..(b + 1) * self.out_channels * n_cols];
-            for oc in 0..self.out_channels {
-                let bias = self.bias.as_slice()[oc];
-                for (d, &v) in dst[oc * n_cols..(oc + 1) * n_cols]
-                    .iter_mut()
-                    .zip(&out_mat.as_slice()[oc * n_cols..(oc + 1) * n_cols])
-                {
-                    *d = v + bias;
+        let samples = input.as_slice().chunks_exact(self.in_channels * h * w);
+        let outs = out.as_mut_slice().chunks_exact_mut(oc * n_cols);
+        for (sample, dst) in samples.zip(outs) {
+            self.im2col(&g, sample, &mut cols);
+            gemm_into(self.weight.as_slice(), &cols, dst, oc, ckk, n_cols, false);
+            for (drow, &bias) in dst.chunks_exact_mut(n_cols).zip(self.bias.as_slice()) {
+                for d in drow {
+                    *d += bias;
                 }
             }
         }
@@ -243,45 +344,42 @@ impl Layer for Conv2d {
             .clone()
             .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
         let (batch, h, w) = self.check_input(&input)?;
-        let (oh, pad_h) = self.padding.geometry(h, self.kernel, self.stride);
-        let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
-        if grad_out.dims() != [batch, self.out_channels, oh, ow] {
+        let g = self.geometry(h, w);
+        let oc = self.out_channels;
+        if grad_out.dims() != [batch, oc, g.oh, g.ow] {
             return Err(NnError::BadInputShape {
                 layer: self.name(),
-                expected: format!("[{batch}, {}, {oh}, {ow}] gradient", self.out_channels),
+                expected: format!("[{batch}, {oc}, {}, {}] gradient", g.oh, g.ow),
                 got: grad_out.dims().to_vec(),
             });
         }
         let ckk = self.in_channels * self.kernel * self.kernel;
-        let n_cols = oh * ow;
+        let n_cols = g.oh * g.ow;
         let mut dx = Tensor::zeros(input.dims());
-        let mut cols = vec![0.0f32; ckk * n_cols];
+        let mut patches = Patches::new(&g, self.in_channels, self.kernel, self.stride);
+        let mut rows = vec![0.0f32; n_cols * ckk];
+        let mut dcols = vec![0.0f32; ckk * n_cols];
         let weight_t = self.weight.transpose()?; // [ckk, oc]
-        for b in 0..batch {
-            let sample = &input.as_slice()[b * self.in_channels * h * w..];
-            self.im2col(sample, h, w, oh, ow, pad_h, pad_w, &mut cols);
-            let cols_t = Tensor::from_vec(cols.clone(), &[ckk, n_cols])?;
-            let go_mat = Tensor::from_vec(
-                grad_out.as_slice()
-                    [b * self.out_channels * n_cols..(b + 1) * self.out_channels * n_cols]
-                    .to_vec(),
-                &[self.out_channels, n_cols],
-            )?;
+        let samples = input.as_slice().chunks_exact(self.in_channels * h * w);
+        let dys = grad_out.as_slice().chunks_exact(oc * n_cols);
+        let dsamples = dx.as_mut_slice().chunks_exact_mut(self.in_channels * h * w);
+        for ((sample, dy), dsample) in samples.zip(dys).zip(dsamples) {
             // dW += dy · colsᵀ
-            let dw = go_mat.matmul(&cols_t.transpose()?)?;
-            self.grad_weight.add_assign(&dw)?;
+            self.im2row(&g, sample, &mut patches, &mut rows);
+            let dw = self.grad_weight.as_mut_slice();
+            gemm_into(dy, &rows, dw, oc, n_cols, ckk, true);
             // db += per-channel sums of dy
-            for oc in 0..self.out_channels {
-                let s: f32 = go_mat.as_slice()[oc * n_cols..(oc + 1) * n_cols]
-                    .iter()
-                    .sum();
-                self.grad_bias.as_mut_slice()[oc] += s;
+            for (db, dyrow) in self
+                .grad_bias
+                .as_mut_slice()
+                .iter_mut()
+                .zip(dy.chunks_exact(n_cols))
+            {
+                *db += dyrow.iter().sum::<f32>();
             }
             // dcols = Wᵀ · dy, scattered back to dx
-            let dcols = weight_t.matmul(&go_mat)?;
-            let dsample = &mut dx.as_mut_slice()
-                [b * self.in_channels * h * w..(b + 1) * self.in_channels * h * w];
-            self.col2im(dcols.as_slice(), h, w, oh, ow, pad_h, pad_w, dsample);
+            gemm_into(weight_t.as_slice(), dy, &mut dcols, ckk, oc, n_cols, false);
+            self.col2im(&g, &mut dcols, dsample);
         }
         Ok(dx)
     }
@@ -299,10 +397,13 @@ impl Layer for Conv2d {
     }
 
     fn zero_grads(&mut self) {
-        self.grad_weight = Tensor::zeros(self.grad_weight.dims());
-        self.grad_bias = Tensor::zeros(self.grad_bias.dims());
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 }
+
+#[cfg(test)]
+mod parity;
 
 #[cfg(test)]
 mod tests {
@@ -415,6 +516,29 @@ mod tests {
         assert_eq!(dx.dims(), &[2, 2, 4, 4]);
         assert_eq!(conv.grads()[0].dims(), &[3, 18]);
         assert_eq!(conv.grads()[1].dims(), &[3]);
+    }
+
+    #[test]
+    fn zero_grads_clears_the_accumulators_in_place() {
+        let mut rng = TensorRng::new(0);
+        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Same, &mut rng);
+        let x = rng.uniform_tensor(&[2, 2, 4, 4], -1.0, 1.0);
+        conv.forward(&x, true).unwrap();
+        conv.backward(&Tensor::ones(&[2, 3, 4, 4])).unwrap();
+        assert!(conv.grads().iter().all(|g| g.norm() > 0.0));
+        let buffers = |c: &Conv2d| {
+            c.grads()
+                .iter()
+                .map(|g| g.as_slice().as_ptr())
+                .collect::<Vec<_>>()
+        };
+        let before = buffers(&conv);
+        conv.zero_grads();
+        assert!(conv
+            .grads()
+            .iter()
+            .all(|g| g.as_slice().iter().all(|&v| v == 0.0)));
+        assert_eq!(buffers(&conv), before);
     }
 
     #[test]

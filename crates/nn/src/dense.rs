@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use tensor::{Tensor, TensorRng};
+use tensor::{gemm_into, Tensor, TensorRng};
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
@@ -59,16 +59,22 @@ impl Layer for Dense {
                 got: input.dims().to_vec(),
             });
         }
-        let mut out = input.matmul(&self.weight)?;
         let batch = input.dims()[0];
-        // broadcast-add the bias row
+        let mut out = Tensor::zeros(&[batch, self.out_features]);
         let out_slice = out.as_mut_slice();
+        gemm_into(
+            input.as_slice(),
+            self.weight.as_slice(),
+            out_slice,
+            batch,
+            self.in_features,
+            self.out_features,
+            false,
+        );
+        // broadcast-add the bias row
         let bias = self.bias.as_slice();
-        for b in 0..batch {
-            for (o, &bv) in out_slice[b * self.out_features..(b + 1) * self.out_features]
-                .iter_mut()
-                .zip(bias)
-            {
+        for orow in out_slice.chunks_exact_mut(self.out_features) {
+            for (o, &bv) in orow.iter_mut().zip(bias) {
                 *o += bv;
             }
         }
@@ -92,20 +98,33 @@ impl Layer for Dense {
             });
         }
         // dW = x^T · dy ; db = Σ_batch dy ; dx = dy · W^T
-        let dw = input.transpose()?.matmul(grad_out)?;
-        self.grad_weight.add_assign(&dw)?;
         let batch = grad_out.dims()[0];
-        let gb = self.grad_bias.as_mut_slice();
+        let mut dx = Tensor::zeros(&[batch, self.in_features]);
         let go = grad_out.as_slice();
-        for b in 0..batch {
-            for (g, &v) in gb
-                .iter_mut()
-                .zip(&go[b * self.out_features..(b + 1) * self.out_features])
-            {
+        gemm_into(
+            input.transpose()?.as_slice(),
+            go,
+            self.grad_weight.as_mut_slice(),
+            self.in_features,
+            batch,
+            self.out_features,
+            true,
+        );
+        let gb = self.grad_bias.as_mut_slice();
+        for gorow in go.chunks_exact(self.out_features) {
+            for (g, &v) in gb.iter_mut().zip(gorow) {
                 *g += v;
             }
         }
-        let dx = grad_out.matmul(&self.weight.transpose()?)?;
+        gemm_into(
+            go,
+            self.weight.transpose()?.as_slice(),
+            dx.as_mut_slice(),
+            batch,
+            self.out_features,
+            self.in_features,
+            false,
+        );
         Ok(dx)
     }
 
@@ -122,8 +141,8 @@ impl Layer for Dense {
     }
 
     fn zero_grads(&mut self) {
-        self.grad_weight = Tensor::zeros(&[self.in_features, self.out_features]);
-        self.grad_bias = Tensor::zeros(&[self.out_features]);
+        self.grad_weight.as_mut_slice().fill(0.0);
+        self.grad_bias.as_mut_slice().fill(0.0);
     }
 }
 
@@ -182,8 +201,29 @@ mod tests {
         // dW accumulates twice: 2 * [1, 2]^T
         assert_eq!(layer.grads()[0].as_slice(), &[2.0, 4.0]);
         assert_eq!(layer.grads()[1].as_slice(), &[2.0]);
+        // ... and reset in place: the accumulators keep their buffers.
+        let buffers = |l: &Dense| {
+            l.grads()
+                .iter()
+                .map(|g| g.as_slice().as_ptr())
+                .collect::<Vec<_>>()
+        };
+        let before = buffers(&layer);
         layer.zero_grads();
         assert_eq!(layer.grads()[0].as_slice(), &[0.0, 0.0]);
+        assert_eq!(layer.grads()[1].as_slice(), &[0.0]);
+        assert_eq!(buffers(&layer), before);
+    }
+
+    #[test]
+    fn an_empty_batch_passes_through() {
+        let mut rng = TensorRng::new(1);
+        let mut layer = Dense::new(3, 2, &mut rng);
+        let y = layer.forward(&Tensor::zeros(&[0, 3]), true).unwrap();
+        assert_eq!(y.dims(), &[0, 2]);
+        let dx = layer.backward(&Tensor::zeros(&[0, 2])).unwrap();
+        assert_eq!(dx.dims(), &[0, 3]);
+        assert_eq!(layer.grads()[0].as_slice(), &[0.0; 6]);
     }
 
     #[test]

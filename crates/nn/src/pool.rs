@@ -64,36 +64,38 @@ impl Layer for MaxPool2d {
         let (ow, pad_w) = self.padding.geometry(w, self.kernel, self.stride);
         let mut out = Tensor::zeros(&[batch, c, oh, ow]);
         let mut argmax = vec![0usize; batch * c * oh * ow];
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        for b in 0..batch {
-            for ch in 0..c {
-                let plane_off = (b * c + ch) * h * w;
-                let out_off = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for ky in 0..self.kernel {
-                            let iy = (oy * self.stride + ky) as isize - pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let ix = (ox * self.stride + kx) as isize - pad_w as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let idx = plane_off + iy as usize * w + ix as usize;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
+        let (k, s) = (self.kernel, self.stride);
+        // A window's in-bounds rows or columns, worked out once per output
+        // row and column so that no cell is bounds-checked against the plane.
+        let span = |o: usize, pad: usize, len: usize| {
+            (o * s).saturating_sub(pad)..(o * s + k).saturating_sub(pad).min(len)
+        };
+        let xs: Vec<_> = (0..ow).map(|ox| span(ox, pad_w, w)).collect();
+        let planes = input.as_slice().chunks_exact(h * w);
+        let dplanes = out.as_mut_slice().chunks_exact_mut(oh * ow);
+        let aplanes = argmax.chunks_exact_mut(oh * ow);
+        for (p, ((plane, dplane), aplane)) in planes.zip(dplanes).zip(aplanes).enumerate() {
+            let drows = dplane.chunks_exact_mut(ow);
+            let arows = aplane.chunks_exact_mut(ow);
+            for (oy, (drow, arow)) in drows.zip(arows).enumerate() {
+                let ys = span(oy, pad_h, h);
+                for ((d, a), xs) in drow.iter_mut().zip(arow).zip(&xs) {
+                    // A window of only NaN / -inf cells never moves `best`:
+                    // its gradient still belongs to this window's first
+                    // cell, not to cell 0 of the batch.
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_at = ys.start * w + xs.start;
+                    for iy in ys.clone() {
+                        let at = iy * w + xs.start;
+                        for (i, &v) in plane[at..at + xs.len()].iter().enumerate() {
+                            if v > best {
+                                best = v;
+                                best_at = at + i;
                             }
                         }
-                        dst[out_off + oy * ow + ox] = best;
-                        argmax[out_off + oy * ow + ox] = best_idx;
                     }
+                    *d = best;
+                    *a = p * h * w + best_at;
                 }
             }
         }
@@ -189,6 +191,44 @@ mod tests {
         let y = pool.forward(&x, true).unwrap();
         assert_eq!(y.dims(), &[1, 1, 1, 1]);
         assert_eq!(y.as_slice(), &[-3.0]);
+    }
+
+    #[test]
+    fn a_window_nothing_wins_keeps_its_gradient_in_its_own_sample() {
+        // The second sample is all -inf (then all NaN): no cell beats the
+        // initial -inf, and the window's gradient used to land on flat index
+        // 0 — sample 0, channel 0, pixel (0, 0).
+        for dead in [f32::NEG_INFINITY, f32::NAN] {
+            let x = Tensor::from_vec(
+                vec![1.0, 2.0, 3.0, 4.0, dead, dead, dead, dead],
+                &[2, 1, 2, 2],
+            )
+            .unwrap();
+            let mut pool = MaxPool2d::new(2, 2, Padding::Valid);
+            let y = pool.forward(&x, true).unwrap();
+            assert_eq!(y.as_slice(), &[4.0, f32::NEG_INFINITY]);
+            let dy = Tensor::from_vec(vec![5.0, 7.0], &[2, 1, 1, 1]).unwrap();
+            let dx = pool.backward(&dy).unwrap();
+            assert_eq!(dx.as_slice(), &[0.0, 0.0, 0.0, 5.0, 7.0, 0.0, 0.0, 0.0]);
+        }
+    }
+
+    #[test]
+    fn border_windows_of_a_same_padded_plane_see_only_the_plane() {
+        // 3x3 windows, stride 2, on 5x4: one padded row above and below,
+        // one padded column on the right only, so windows are clipped at
+        // three of the four borders.
+        let (h, w) = (5, 4);
+        let x = Tensor::from_vec((0..h * w).map(|v| -(v as f32)).collect(), &[1, 1, h, w]).unwrap();
+        let mut pool = MaxPool2d::new(3, 2, Padding::Same);
+        let y = pool.forward(&x, true).unwrap();
+        assert_eq!(y.dims(), &[1, 1, 3, 2]);
+        // Values fall with the index, so each window's max is its first
+        // in-bounds cell: rows {0, 1, 3}, columns {0, 2}.
+        assert_eq!(y.as_slice(), &[-0.0, -2.0, -4.0, -6.0, -12.0, -14.0]);
+        let dx = pool.backward(&Tensor::ones(&[1, 1, 3, 2])).unwrap();
+        let hit: Vec<usize> = (0..h * w).filter(|&i| dx.as_slice()[i] != 0.0).collect();
+        assert_eq!(hit, vec![0, 2, 4, 6, 12, 14]);
     }
 
     #[test]

@@ -37,6 +37,7 @@ mod shard;
 mod tensor;
 
 pub use error::TensorError;
+pub use ops::gemm_into;
 pub use random::TensorRng;
 pub use shape::Shape;
 pub use shard::TensorShard;

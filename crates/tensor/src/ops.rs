@@ -2,12 +2,132 @@
 
 use crate::{Result, Tensor, TensorError};
 
+/// Widest register tile of [`gemm_into`]: this many accumulators of one
+/// output row stay in registers while the inner dimension is walked.
+const TILE: usize = 32;
+
+/// Row-major matrix product on slices: `out (m×n) = a (m×k) · b (k×n)`, or
+/// `out += a · b` with `accumulate`.
+///
+/// Every output element is computed with one fixed operation chain,
+/// whatever the shape: start from `+0.0`, then for `p = 0..k` ascending add
+/// `a[i][p] * b[p][j]`, **skipping every `p` with `a[i][p] == 0.0`**. The
+/// skip is part of the contract, not a shortcut: it keeps `0 · ∞` out of
+/// the sum. With `accumulate` the finished sum is added to `out[i][j]`
+/// once, so `grad += x · y` keeps its sum-then-add order.
+///
+/// A row of `out` is produced in register tiles of [`TILE`] columns, then
+/// fixed sub-tiles of 16, 8, 4 and 1 for the remainder, so the accumulators
+/// never round-trip through memory and a tile's lanes vectorise. The skip
+/// is decided once per row of `a`, not once per value and tile: a row
+/// without zeros runs branch-free, any other row is first compacted to its
+/// non-zero terms (a data-dependent branch in the inner loop mispredicts on
+/// every other term of a post-ReLU gradient).
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`.
+pub fn gemm_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    assert_eq!(a.len(), m * k, "gemm_into: a is not m×k");
+    assert_eq!(b.len(), k * n, "gemm_into: b is not k×n");
+    assert_eq!(out.len(), m * n, "gemm_into: out is not m×n");
+    if n == 0 {
+        return;
+    }
+    // The non-zero terms of the current row of `a`: value and offset of
+    // its row of `b`. Allocated by the first row that has a zero.
+    let mut terms: Vec<(f32, usize)> = Vec::new();
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        let arow = &a[i * k..(i + 1) * k];
+        // Counted, not searched: the count vectorises, an early exit does not.
+        if arow.iter().filter(|&&av| av == 0.0).count() == 0 {
+            let dense = arow.iter().copied().zip(b.chunks_exact(n));
+            row_tiles(dense, orow, accumulate);
+        } else {
+            terms.resize(k, (0.0, 0));
+            let mut kept = 0;
+            for (p, &av) in arow.iter().enumerate() {
+                terms[kept] = (av, p * n);
+                kept += usize::from(av != 0.0);
+            }
+            let sparse = terms[..kept].iter().map(|&(av, at)| (av, &b[at..at + n]));
+            row_tiles(sparse, orow, accumulate);
+        }
+    }
+}
+
+/// One output row of [`gemm_into`], tile by tile. `terms` yields the row's
+/// `(a[i][p], row p of b)` pairs in ascending `p`; every tile walks a clone.
+#[inline(always)]
+fn row_tiles<'b>(
+    terms: impl Iterator<Item = (f32, &'b [f32])> + Clone,
+    orow: &mut [f32],
+    accumulate: bool,
+) {
+    let n = orow.len();
+    let mut j = 0;
+    while j + TILE <= n {
+        tile::<TILE>(terms.clone(), j, orow, accumulate);
+        j += TILE;
+    }
+    if j + 16 <= n {
+        tile::<16>(terms.clone(), j, orow, accumulate);
+        j += 16;
+    }
+    if j + 8 <= n {
+        tile::<8>(terms.clone(), j, orow, accumulate);
+        j += 8;
+    }
+    if j + 4 <= n {
+        tile::<4>(terms.clone(), j, orow, accumulate);
+        j += 4;
+    }
+    while j < n {
+        tile::<1>(terms.clone(), j, orow, accumulate);
+        j += 1;
+    }
+}
+
+/// Columns `j..j + W` of one output row, on `W` register accumulators.
+#[inline(always)]
+fn tile<'b, const W: usize>(
+    terms: impl Iterator<Item = (f32, &'b [f32])>,
+    j: usize,
+    orow: &mut [f32],
+    accumulate: bool,
+) {
+    let mut acc = [0.0f32; W];
+    for (av, brow) in terms {
+        let bt: &[f32; W] = brow[j..j + W]
+            .try_into()
+            .expect("the tile lies inside the row");
+        for (s, &bv) in acc.iter_mut().zip(bt) {
+            *s += av * bv;
+        }
+    }
+    let ot = &mut orow[j..j + W];
+    if accumulate {
+        for (o, s) in ot.iter_mut().zip(acc) {
+            *o += s;
+        }
+    } else {
+        ot.copy_from_slice(&acc);
+    }
+}
+
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `(m×k) · (k×n) → (m×n)`.
     ///
-    /// This is the plain triple loop with an `ikj` ordering (cache-friendly
-    /// row-major access on both operands); it is fast enough to train the
-    /// paper's 1.75M-parameter CNN on synthetic data in simulation.
+    /// A shape-checked shim over [`gemm_into`], which documents the
+    /// operation chain every output element is computed with.
     ///
     /// # Errors
     ///
@@ -34,23 +154,17 @@ impl Tensor {
                 right_rows: k2,
             });
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let av = a[i * k + p];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        let mut out = Tensor::zeros(&[m, n]);
+        gemm_into(
+            self.as_slice(),
+            other.as_slice(),
+            out.as_mut_slice(),
+            m,
+            k,
+            n,
+            false,
+        );
+        Ok(out)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -67,13 +181,21 @@ impl Tensor {
         }
         let (m, n) = (self.dims()[0], self.dims()[1]);
         let a = self.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = a[i * n + j];
+        let mut out = Tensor::zeros(&[n, m]);
+        let o = out.as_mut_slice();
+        // Square blocks: a block's source and destination lines all stay in
+        // cache, where a plain row walk misses on every strided store.
+        const BLOCK: usize = 16;
+        for i0 in (0..m).step_by(BLOCK) {
+            for j0 in (0..n).step_by(BLOCK) {
+                for i in i0..(i0 + BLOCK).min(m) {
+                    for j in j0..(j0 + BLOCK).min(n) {
+                        o[j * m + i] = a[i * n + j];
+                    }
+                }
             }
         }
-        Tensor::from_vec(out, &[n, m])
+        Ok(out)
     }
 
     /// Sum of all elements.
@@ -284,6 +406,126 @@ mod tests {
             v.matmul(&a),
             Err(TensorError::RankMismatch { .. })
         ));
+    }
+
+    /// The triple loop `Tensor::matmul` was before `gemm_into`: the oracle
+    /// for the operation chain, accumulators in memory.
+    fn matmul_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &b[p * n..(p + 1) * n];
+                let orow = &mut out[i * n..(i + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that two NaNs born of arithmetic compare equal:
+    /// the language leaves the sign and payload of such a NaN open.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i} is {g:?} ({:#x}), reference {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// `len` values in `[-1, 1)`, a `zeros` share of them `0.0` (every third
+    /// of those `-0.0`), plus the listed specials at scattered positions.
+    fn operand(rng: &mut crate::TensorRng, len: usize, zeros: f32, specials: &[f32]) -> Vec<f32> {
+        let mut v: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        for (i, x) in v.iter_mut().enumerate() {
+            if rng.uniform(0.0, 1.0) < zeros {
+                *x = if i % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        for (i, &s) in specials.iter().enumerate() {
+            if len > 0 {
+                v[(i * 7 + 3) % len] = s;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn gemm_into_matches_the_triple_loop_bit_for_bit() {
+        let mut rng = crate::TensorRng::new(15);
+        let inf = f32::INFINITY;
+        // (a zeros, a specials, b specials): dense, post-pool sparse, all
+        // zero, and non-finite operands next to zeros (the `0 · ∞` skip).
+        let modes: [(f32, &[f32], &[f32]); 5] = [
+            (0.0, &[], &[]),
+            (0.75, &[], &[]),
+            (1.0, &[], &[]),
+            (0.5, &[], &[inf, -inf, f32::NAN, inf, -0.0]),
+            (0.5, &[inf, f32::NAN, -inf], &[0.0, -0.0, inf]),
+        ];
+        for n in [1, 10, 16, 27, 40, 64, 72, 320] {
+            for (m, k) in [(1, 1), (8, 27), (3, 64), (5, 9), (2, 0), (0, 4)] {
+                for (zeros, a_specials, b_specials) in modes {
+                    let a = operand(&mut rng, m * k, zeros, a_specials);
+                    let b = operand(&mut rng, k * n, 0.1, b_specials);
+                    let want = matmul_reference(&a, &b, m, k, n);
+                    let what = format!("m={m} k={k} n={n} zeros={zeros}");
+
+                    let mut out = operand(&mut rng, m * n, 0.0, &[]);
+                    gemm_into(&a, &b, &mut out, m, k, n, false);
+                    assert_same_bits(&out, &want, &what);
+
+                    let base = operand(&mut rng, m * n, 0.2, &[]);
+                    let mut out = base.clone();
+                    gemm_into(&a, &b, &mut out, m, k, n, true);
+                    let want: Vec<f32> = base.iter().zip(&want).map(|(o, s)| o + s).collect();
+                    assert_same_bits(&out, &want, &format!("{what} accumulate"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_into_skips_zero_times_infinity() {
+        // 0 · ∞ would be NaN; the chain never forms the product.
+        let a = [0.0, 2.0, -0.0, 1.0];
+        let b = [f32::INFINITY, f32::NAN, 3.0, 4.0];
+        let mut out = [9.0; 4];
+        gemm_into(&a, &b, &mut out, 2, 2, 2, false);
+        assert_eq!(out, [6.0, 8.0, 3.0, 4.0]);
+        // ... while a non-zero weight on a non-finite input propagates it.
+        let mut out = [9.0; 2];
+        gemm_into(&[1.0, 1.0], &b, &mut out, 1, 2, 2, false);
+        assert_eq!(out[0], f32::INFINITY);
+        assert!(out[1].is_nan());
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_into: b is not k×n")]
+    fn gemm_into_rejects_a_short_operand() {
+        gemm_into(&[1.0; 6], &[1.0; 5], &mut [0.0; 4], 2, 3, 2, false);
+    }
+
+    #[test]
+    fn transpose_of_a_matrix_wider_than_a_block() {
+        let (m, n) = (19, 37);
+        let a = t((0..m * n).map(|v| v as f32).collect(), &[m, n]);
+        let at = a.transpose().unwrap();
+        assert_eq!(at.dims(), &[n, m]);
+        for i in 0..m {
+            for j in 0..n {
+                assert_eq!(at.get(&[j, i]).unwrap(), a.get(&[i, j]).unwrap());
+            }
+        }
     }
 
     #[test]
