@@ -3,7 +3,7 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
+use crate::kernel;
 use crate::{Gar, Result};
 
 /// The arithmetic mean of all inputs.
@@ -38,7 +38,7 @@ impl Gar for Average {
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, 1)?;
         Ok(fold_into(&dims, |out| {
-            kernel::average_into(Exec::auto(), &kernel::views(inputs), out)
+            kernel::average_into(&kernel::views(inputs), out)
         }))
     }
 }

@@ -3,8 +3,7 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
-use crate::krum::ScoreMetric;
+use crate::kernel;
 use crate::{AggregationError, Gar, Result};
 
 /// Bulyan (El-Mhamdi et al., ICML 2018) over Krum.
@@ -23,7 +22,6 @@ use crate::{AggregationError, Gar, Result};
 #[derive(Debug, Clone, Copy)]
 pub struct Bulyan {
     f: usize,
-    metric: ScoreMetric,
 }
 
 impl Bulyan {
@@ -38,16 +36,7 @@ impl Bulyan {
                 "bulyan requires f >= 1".to_owned(),
             ));
         }
-        Ok(Bulyan {
-            f,
-            metric: ScoreMetric::default(),
-        })
-    }
-
-    /// Replaces the score metric used by the inner Krum.
-    pub fn with_metric(mut self, metric: ScoreMetric) -> Self {
-        self.metric = metric;
-        self
+        Ok(Bulyan { f })
     }
 
     /// The declared Byzantine input count.
@@ -74,14 +63,13 @@ impl Gar for Bulyan {
         let n = inputs.len();
         let select_count = n - 2 * self.f;
         let beta = n - 4 * self.f;
-        let exec = Exec::auto();
         let views = kernel::views(inputs);
 
         // Phase 1: iterated Krum selection. The O(n²·d) distance matrix is
         // computed exactly once; each selection round rescoring only masks
         // out the already-selected indices (O(n² log n), no d term), where
         // the previous implementation recomputed the full matrix per round.
-        let dist = kernel::pairwise_distances(exec, &views, self.metric);
+        let dist = kernel::pairwise_distances(&views);
         let mut active: Vec<usize> = (0..n).collect();
         let mut selected: Vec<usize> = Vec::with_capacity(select_count);
         while selected.len() < select_count {
@@ -104,7 +92,7 @@ impl Gar for Bulyan {
         // median of the selection set.
         let chosen: Vec<&[f32]> = selected.iter().map(|&i| views[i]).collect();
         Ok(fold_into(&dims, |out| {
-            kernel::bulyan_fold_into(exec, &chosen, beta, out)
+            kernel::bulyan_fold_into(&chosen, beta, out)
         }))
     }
 }
@@ -112,6 +100,7 @@ impl Gar for Bulyan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::TensorRng;
 
     #[test]
     fn rejects_f_zero() {
@@ -173,5 +162,57 @@ mod tests {
             .collect();
         let b = Bulyan::new(1).unwrap();
         assert_eq!(b.aggregate(&xs).unwrap(), b.aggregate(&xs).unwrap());
+    }
+
+    /// Nine honest normal vectors of dimension `d` plus two adversarial
+    /// ones: a far outlier, and an L2-close copy of an honest vector with one
+    /// poisoned coordinate (the Bulyan scenario).
+    fn cluster(seed: u64, d: usize) -> Vec<Tensor> {
+        let mut rng = TensorRng::new(seed);
+        let mut xs: Vec<Tensor> = (0..9).map(|_| rng.normal_tensor(&[d], 0.0, 1.0)).collect();
+        let mut poisoned = xs[0].clone();
+        poisoned.set(&[d / 2], 1e6).unwrap();
+        poisoned
+            .set(&[0], poisoned.get(&[0]).unwrap() + 1.0)
+            .unwrap();
+        xs.push(Tensor::full(&[d], 1e9));
+        xs.push(poisoned);
+        xs
+    }
+
+    /// Bulyan's one-matrix masked selection must match the from-scratch
+    /// submatrix scoring it replaced (same winners, same fold).
+    #[test]
+    fn bulyan_masked_selection_matches_naive_rescoring() {
+        for seed in 0..10u64 {
+            let xs = cluster(seed, 2000);
+            let rule = Bulyan::new(2).unwrap();
+            let fast = rule.aggregate(&xs).unwrap();
+
+            // Naive reference: rebuild the distance matrix for every selection
+            // round over the remaining tensors only.
+            let n = xs.len();
+            let (select_count, f) = (n - 2 * 2, 2usize);
+            let mut active: Vec<usize> = (0..n).collect();
+            let mut selected = Vec::new();
+            while selected.len() < select_count {
+                let m = active.len();
+                let winner = if m >= 2 * f + 3 {
+                    let sub: Vec<&[f32]> = active.iter().map(|&i| xs[i].as_slice()).collect();
+                    let dist = kernel::pairwise_distances(&sub);
+                    let scores = kernel::krum_scores(&dist, m, m - f - 2);
+                    active[kernel::select_smallest(&scores, 1)[0]]
+                } else {
+                    active[0]
+                };
+                selected.push(winner);
+                active.retain(|&i| i != winner);
+            }
+            let chosen: Vec<&[f32]> = selected.iter().map(|&i| xs[i].as_slice()).collect();
+            let mut out = vec![0.0f32; xs[0].len()];
+            kernel::bulyan_fold_into(&chosen, n - 4 * f, &mut out);
+            let reference = Tensor::from_flat(out);
+            assert_eq!(fast, reference, "seed {seed}");
+        }
     }
 }

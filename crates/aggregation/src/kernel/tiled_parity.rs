@@ -1,9 +1,8 @@
 //! The tiled order-statistic kernels against the per-column code they
 //! replaced, bit for bit.
 //!
-//! `tests/kernel_parity.rs` compares [`Exec::Serial`] with
-//! [`Exec::Parallel`], and both run [`sorted_tiles`]; the oracle here is the
-//! old inner loop — gather one column, `sort_unstable_by(f32::total_cmp)`,
+//! Every order-statistic kernel runs [`sorted_tiles`]; the oracle here is
+//! the old inner loop — gather one column, `sort_unstable_by(f32::total_cmp)`,
 //! read the statistic — kept only for these tests.
 
 use proptest::prelude::*;
@@ -133,64 +132,37 @@ fn assert_same(got: &[f32], want: &[f32], exact: bool, what: &str) {
     }
 }
 
-fn execs() -> Vec<Exec> {
-    vec![
-        Exec::Serial,
-        #[cfg(feature = "parallel")]
-        Exec::Parallel,
-    ]
-}
-
-/// Extra width past which `Exec::Parallel` really cuts a window of `n`
-/// inputs into multi-tile chunks with a ragged tail; without the feature
-/// there is nothing to force.
-fn chunking_stretch(n: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        MIN_PARALLEL_WORK.div_ceil(n)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = n;
-        0
-    }
-}
-
-/// Widths around the tile, plus one that chunks.
-fn widths(n: usize) -> [usize; 6] {
-    let chunked = chunking_stretch(n) + TILE + 5;
-    [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5, chunked]
-}
+/// Widths around the tile, plus one of several tiles with a ragged tail.
+const WIDTHS: [usize; 5] = [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5];
 
 /// All four kernels over the window `start .. start + width` of `n` mixed
 /// inputs, every legal shape of trim / keep, against the reference.
 fn check(seed: u64, n: usize, width: usize, start: usize) {
-    #[cfg(feature = "parallel")]
-    std::env::set_var("GUANYU_KERNEL_THREADS", "3");
     let xs = inputs(seed, n, start + width + 2, start);
     let views: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+    // The kernels fold from offset 0: a shifted window is a slice of every
+    // input (an unaligned one for odd `start`).
+    let window: Vec<&[f32]> = xs.iter().map(|x| &x[start..start + width]).collect();
     let mut want = vec![0.0f32; width];
     let mut got = vec![0.0f32; width];
-    for exec in execs() {
-        let case = format!("n={n} width={width} start={start} seed={seed} {exec:?}");
+    let case = format!("n={n} width={width} start={start} seed={seed}");
 
-        reference::median(&views, start, &mut want);
-        median_range_into(exec, &views, start, &mut got);
-        assert_same(&got, &want, n % 2 == 1, &format!("median {case}"));
+    reference::median(&views, start, &mut want);
+    median_into(&window, &mut got);
+    assert_same(&got, &want, n % 2 == 1, &format!("median {case}"));
 
-        for trim in [0, (n - 1) / 4, (n - 1) / 2] {
-            reference::trimmed_mean(&views, trim, start, &mut want);
-            trimmed_mean_range_into(exec, &views, trim, start, &mut got);
-            assert_same(&got, &want, false, &format!("trimmed({trim}) {case}"));
-        }
+    for trim in [0, (n - 1) / 4, (n - 1) / 2] {
+        reference::trimmed_mean(&views, trim, start, &mut want);
+        trimmed_mean_into(&window, trim, &mut got);
+        assert_same(&got, &want, false, &format!("trimmed({trim}) {case}"));
+    }
 
-        for keep in [1, n.div_ceil(2), n] {
-            reference::window_mean(&views, keep, start, &mut want);
-            meamed_range_into(exec, &views, keep, start, &mut got);
-            assert_same(&got, &want, false, &format!("meamed({keep}) {case}"));
-            bulyan_fold_range_into(exec, &views, keep, start, &mut got);
-            assert_same(&got, &want, false, &format!("bulyan fold({keep}) {case}"));
-        }
+    for keep in [1, n.div_ceil(2), n] {
+        reference::window_mean(&views, keep, start, &mut want);
+        meamed_into(&window, keep, &mut got);
+        assert_same(&got, &want, false, &format!("meamed({keep}) {case}"));
+        bulyan_fold_into(&window, keep, &mut got);
+        assert_same(&got, &want, false, &format!("bulyan fold({keep}) {case}"));
     }
 }
 
@@ -208,7 +180,7 @@ fn key_is_total_cmp_order_and_its_own_inverse() {
 #[test]
 fn tiled_kernels_match_the_per_column_reference() {
     for n in (1..=17).chain([51]) {
-        for width in widths(n) {
+        for width in WIDTHS {
             for start in [0, 3] {
                 check(0xD1CE + n as u64, n, width, start);
             }
@@ -221,9 +193,9 @@ fn all_negative_zero_column_keeps_the_sum_identity() {
     let xs = vec![vec![-0.0f32; TILE + 1]; 5];
     let views: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
     let mut out = vec![1.0f32; TILE + 1];
-    trimmed_mean_into(Exec::Serial, &views, 1, &mut out);
+    trimmed_mean_into(&views, 1, &mut out);
     assert!(out.iter().all(|o| o.to_bits() == (-0.0f32).to_bits()));
-    meamed_into(Exec::Serial, &views, 3, &mut out);
+    meamed_into(&views, 3, &mut out);
     assert!(out.iter().all(|o| o.to_bits() == (-0.0f32).to_bits()));
 }
 
@@ -267,10 +239,8 @@ proptest! {
         width in 1usize..(3 * TILE + 6),
         start in 0usize..70,
         big in any::<bool>(),
-        chunked in any::<bool>(),
     ) {
         let n = if big && n == 17 { 51 } else { n };
-        let width = width + if chunked { chunking_stretch(n) } else { 0 };
         check(seed, n, width, start);
     }
 }

@@ -3,39 +3,22 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
+use crate::kernel;
 use crate::{Gar, Result};
-
-/// Distance metric used in Krum scores.
-///
-/// The original Krum paper (Blanchard et al., NeurIPS 2017) scores with
-/// *squared* Euclidean distances; the GuanYu paper's prose says "sum of the
-/// distances". The two selections can differ on adversarial inputs, so we
-/// expose both and default to the original squared metric. The ablation
-/// bench `ablate_gar` compares them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreMetric {
-    /// Sum of squared Euclidean distances to the closest neighbours
-    /// (original Krum definition).
-    #[default]
-    SquaredEuclidean,
-    /// Sum of Euclidean distances to the closest neighbours (the wording in
-    /// the GuanYu paper's §3.1).
-    Euclidean,
-}
 
 /// Computes the Krum score of every input.
 ///
-/// The score of input `x` is the sum of (squared) distances from `x` to its
-/// `n - f - 2` closest *other* inputs. Low score = central, well-supported
-/// vector; high score = outlier. The Θ(n²·d) pairwise-distance matrix is
-/// built by [`kernel::pairwise_distances`] (parallel under the `parallel`
-/// feature); scores and selection use [`f32::total_cmp`], so extreme or
-/// degenerate values reorder instead of panicking.
-fn krum_scores(inputs: &[Tensor], f: usize, metric: ScoreMetric) -> Vec<f32> {
+/// The score of input `x` is the sum of squared distances (the original
+/// Krum definition; the GuanYu paper's prose says "sum of the distances")
+/// from `x` to its `n - f - 2` closest *other* inputs. Low score = central,
+/// well-supported vector; high score = outlier. The Θ(n²·d)
+/// pairwise-distance matrix is built by [`kernel::pairwise_distances`];
+/// scores and selection use [`f32::total_cmp`], so extreme or degenerate
+/// values reorder instead of panicking.
+fn krum_scores(inputs: &[Tensor], f: usize) -> Vec<f32> {
     let n = inputs.len();
     let k = n - f - 2; // number of closest neighbours summed per input
-    let dist = kernel::pairwise_distances(Exec::auto(), &kernel::views(inputs), metric);
+    let dist = kernel::pairwise_distances(&kernel::views(inputs));
     kernel::krum_scores(&dist, n, k)
 }
 
@@ -45,7 +28,6 @@ fn krum_scores(inputs: &[Tensor], f: usize, metric: ScoreMetric) -> Vec<f32> {
 #[derive(Debug, Clone, Copy)]
 pub struct Krum {
     f: usize,
-    metric: ScoreMetric,
 }
 
 impl Krum {
@@ -60,16 +42,7 @@ impl Krum {
     ///
     /// Reserved for future parameter validation; currently always `Ok`.
     pub fn new(f: usize) -> Result<Self> {
-        Ok(Krum {
-            f,
-            metric: ScoreMetric::default(),
-        })
-    }
-
-    /// Replaces the score metric (see [`ScoreMetric`]).
-    pub fn with_metric(mut self, metric: ScoreMetric) -> Self {
-        self.metric = metric;
-        self
+        Ok(Krum { f })
     }
 
     /// The declared Byzantine input count.
@@ -93,7 +66,7 @@ impl Gar for Krum {
 
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         validate_inputs(inputs, self.minimum_inputs())?;
-        let scores = krum_scores(inputs, self.f, self.metric);
+        let scores = krum_scores(inputs, self.f);
         let winner = kernel::select_smallest(&scores, 1)[0];
         // Zero-copy: the winner is returned by refcount bump.
         Ok(inputs[winner].clone())
@@ -114,7 +87,6 @@ impl Gar for Krum {
 #[derive(Debug, Clone, Copy)]
 pub struct MultiKrum {
     f: usize,
-    metric: ScoreMetric,
 }
 
 impl MultiKrum {
@@ -125,16 +97,7 @@ impl MultiKrum {
     ///
     /// Reserved for future parameter validation; currently always `Ok`.
     pub fn new(f: usize) -> Result<Self> {
-        Ok(MultiKrum {
-            f,
-            metric: ScoreMetric::default(),
-        })
-    }
-
-    /// Replaces the score metric (see [`ScoreMetric`]).
-    pub fn with_metric(mut self, metric: ScoreMetric) -> Self {
-        self.metric = metric;
-        self
+        Ok(MultiKrum { f })
     }
 
     /// The declared Byzantine input count.
@@ -150,7 +113,7 @@ impl MultiKrum {
     /// Same validation as [`Gar::aggregate`].
     pub fn scores(&self, inputs: &[Tensor]) -> Result<Vec<f32>> {
         validate_inputs(inputs, self.minimum_inputs())?;
-        Ok(krum_scores(inputs, self.f, self.metric))
+        Ok(krum_scores(inputs, self.f))
     }
 
     /// Indices of the inputs that would be averaged (the selection set).
@@ -160,7 +123,7 @@ impl MultiKrum {
     /// Same validation as [`Gar::aggregate`].
     pub fn selection(&self, inputs: &[Tensor]) -> Result<Vec<usize>> {
         validate_inputs(inputs, self.minimum_inputs())?;
-        let scores = krum_scores(inputs, self.f, self.metric);
+        let scores = krum_scores(inputs, self.f);
         let m = inputs.len() - self.f - 2;
         Ok(kernel::select_smallest(&scores, m))
     }
@@ -181,16 +144,14 @@ impl Gar for MultiKrum {
 
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, self.minimum_inputs())?;
-        let scores = krum_scores(inputs, self.f, self.metric);
+        let scores = krum_scores(inputs, self.f);
         let m = inputs.len() - self.f - 2;
         let selected = kernel::select_smallest(&scores, m);
         // Average the selection set via the slice kernel: no tensor clones,
         // just borrowed views of the selected buffers.
         let views = kernel::views(inputs);
         let chosen: Vec<&[f32]> = selected.iter().map(|&i| views[i]).collect();
-        Ok(fold_into(&dims, |out| {
-            kernel::average_into(Exec::auto(), &chosen, out)
-        }))
+        Ok(fold_into(&dims, |out| kernel::average_into(&chosen, out)))
     }
 }
 
@@ -280,16 +241,6 @@ mod tests {
         for (i, s) in scores[..6].iter().enumerate() {
             assert!(s < &byz_score, "honest {i} should out-score Byzantine");
         }
-    }
-
-    #[test]
-    fn euclidean_metric_also_excludes_byzantine() {
-        let xs = clustered_inputs();
-        let mk = MultiKrum::new(1)
-            .unwrap()
-            .with_metric(ScoreMetric::Euclidean);
-        let sel = mk.selection(&xs).unwrap();
-        assert!(!sel.contains(&6));
     }
 
     #[test]

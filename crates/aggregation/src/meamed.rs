@@ -3,7 +3,7 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
+use crate::kernel;
 use crate::{AggregationError, Gar, Result};
 
 /// Coordinate-wise **mea**n-around-the-**med**ian (Xie et al., 2018).
@@ -57,7 +57,7 @@ impl Gar for Meamed {
         let dims = validate_inputs(inputs, self.minimum_inputs())?;
         let keep = inputs.len() - self.f;
         Ok(fold_into(&dims, |out| {
-            kernel::meamed_into(Exec::auto(), &kernel::views(inputs), keep, out)
+            kernel::meamed_into(&kernel::views(inputs), keep, out)
         }))
     }
 }

@@ -3,7 +3,7 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
+use crate::kernel;
 use crate::{Gar, Result};
 
 /// The coordinate-wise median.
@@ -55,7 +55,7 @@ impl Gar for CoordinateWiseMedian {
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, 1)?;
         Ok(fold_into(&dims, |out| {
-            kernel::median_into(Exec::auto(), &kernel::views(inputs), out)
+            kernel::median_into(&kernel::views(inputs), out)
         }))
     }
 }

@@ -3,7 +3,7 @@
 use tensor::Tensor;
 
 use crate::gar::{fold_into, validate_inputs};
-use crate::kernel::{self, Exec};
+use crate::kernel;
 use crate::{AggregationError, Gar, Result};
 
 /// The coordinate-wise `f`-trimmed mean.
@@ -55,7 +55,7 @@ impl Gar for TrimmedMean {
     fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
         let dims = validate_inputs(inputs, self.minimum_inputs())?;
         Ok(fold_into(&dims, |out| {
-            kernel::trimmed_mean_into(Exec::auto(), &kernel::views(inputs), self.f, out)
+            kernel::trimmed_mean_into(&kernel::views(inputs), self.f, out)
         }))
     }
 }

@@ -12,19 +12,34 @@ use std::path::PathBuf;
 
 use guanyu::metrics::RunResult;
 
-/// Parses `--key value` style flags from `std::env::args`.
+/// `--name value` lookup over `args`: the default when the flag is absent.
 ///
-/// Unknown flags are ignored; missing values fall back to the default.
+/// # Errors
+///
+/// A flag that is present with a missing or unparsable value is an error
+/// naming the flag — `--steps 4o0` must not silently run the default.
+fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == &format!("--{name}")) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("--{name} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("--{name}: cannot read `{value}`"))
+}
+
+/// Parses a `--name value` flag from `std::env::args`: the default when
+/// the flag is absent; a present flag with a missing or unparsable value
+/// prints an error naming it and exits with code 2. Unknown flags are
+/// ignored.
 pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    for pair in args.windows(2) {
-        if pair[0] == format!("--{name}") {
-            if let Ok(v) = pair[1].parse() {
-                return v;
-            }
-        }
-    }
-    default
+    parse_arg(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Returns true when `--flag` is present (no value).
@@ -94,6 +109,19 @@ mod tests {
     #[test]
     fn arg_falls_back_to_default() {
         assert_eq!(arg("definitely-not-passed", 42usize), 42);
+    }
+
+    #[test]
+    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
+        let args: Vec<String> = ["bin", "--steps", "4o0", "--seed", "9", "--samples"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_arg(&args, "seed", 1u64), Ok(9));
+        assert_eq!(parse_arg(&args, "batch", 32usize), Ok(32));
+        let bad = parse_arg(&args, "steps", 150u64).unwrap_err();
+        assert!(bad.contains("--steps") && bad.contains("4o0"), "{bad}");
+        let missing = parse_arg(&args, "samples", 50usize).unwrap_err();
+        assert!(missing.contains("--samples"), "{missing}");
     }
 
     #[test]

@@ -1015,8 +1015,8 @@ impl std::fmt::Debug for ServerMachine {
 impl ServerMachine {
     /// Creates the machine for honest server `me` starting from `params`.
     /// `offset` is the global coordinate origin of `params` (0 unless
-    /// sharded); `gar` is the gradient aggregation rule instance (drivers
-    /// may substitute blockwise variants for sharded planes).
+    /// sharded); `gar` is the gradient aggregation rule instance (a shard
+    /// group's server folds its own slices with the same rule).
     pub fn new(
         spec: Arc<MachineSpec>,
         me: usize,

@@ -77,6 +77,6 @@ pub use soak::{run_soak, run_soak_with, ChurnSpec, SoakConfig, SoakCounters, Soa
 pub use tcp::TcpTransport;
 pub use transport::{ChannelTransport, Incoming, RecvError, Transport};
 pub use wire::{
-    decode, encode, encode_range_into, encode_range_shared, encode_shared, prefix_frame,
-    write_frames, StreamDecoder, WireError, WireMsg, MAX_ELEMS, MAX_FRAME_BYTES,
+    decode, encode, encode_range_shared, encode_shared, prefix_frame, write_frames, StreamDecoder,
+    WireError, WireMsg, MAX_ELEMS, MAX_FRAME_BYTES,
 };

@@ -121,20 +121,6 @@ pub fn encode_into(msg: &WireMsg, buf: &mut Vec<u8>) {
     encode_parts(tag(msg), msg.step(), msg.vector().as_slice(), buf);
 }
 
-/// Encodes coordinates `range` of the message's vector into `buf` — the
-/// scatter path of the sharded gradient plane (DESIGN.md §9). The payload
-/// is read straight off the original tensor's subslice, so no intermediate
-/// per-shard tensor or buffer is ever materialised; the receiver decodes a
-/// normal message of length `range.len()` and cannot tell the difference
-/// from an unsharded send of that slice.
-///
-/// # Panics
-///
-/// Panics when `range` does not fit the carried vector.
-pub fn encode_range_into(msg: &WireMsg, range: std::ops::Range<usize>, buf: &mut Vec<u8>) {
-    encode_parts(tag(msg), msg.step(), &msg.vector().as_slice()[range], buf);
-}
-
 /// Encodes a message into a fresh frame.
 pub fn encode(msg: &WireMsg) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -152,10 +138,15 @@ pub fn encode_shared(msg: &WireMsg, pool: &BufPool) -> Arc<[u8]> {
     encode_range_shared(msg, 0..msg.len(), pool)
 }
 
-/// [`encode_range_into`] through a recycled pool scratch buffer into an
-/// `Arc`-shared frame — one encode + one shared allocation per shard group
-/// however many group members fan out, exactly like [`encode_shared`] for
-/// the unsharded plane.
+/// Encodes coordinates `range` of the message's vector into an
+/// `Arc`-shared frame through a recycled pool scratch buffer — the scatter
+/// path of the sharded gradient plane (DESIGN.md §9). The payload is read
+/// straight off the original tensor's subslice, so no intermediate
+/// per-shard tensor is ever materialised; the receiver decodes a normal
+/// message of length `range.len()` and cannot tell the difference from an
+/// unsharded send of that slice. One encode + one shared allocation per
+/// shard group however many group members fan out, exactly like
+/// [`encode_shared`] for the unsharded plane.
 ///
 /// # Panics
 ///
@@ -166,7 +157,8 @@ pub fn encode_range_shared(
     pool: &BufPool,
 ) -> Arc<[u8]> {
     let mut scratch = pool.get();
-    encode_range_into(msg, range, &mut scratch);
+    let data = &msg.vector().as_slice()[range];
+    encode_parts(tag(msg), msg.step(), data, &mut scratch);
     let frame: Arc<[u8]> = scratch.as_slice().into();
     pool.put(scratch);
     frame
@@ -567,11 +559,11 @@ mod tests {
             step: 42,
             grad: Tensor::from_flat((0..11).map(|i| i as f32 * -0.25).collect()),
         };
+        let pool = BufPool::new();
         for range in [0..11, 0..1, 3..7, 10..11, 5..5] {
-            let mut ranged = Vec::new();
-            encode_range_into(&msg, range.clone(), &mut ranged);
+            let ranged = encode_range_shared(&msg, range.clone(), &pool);
             assert_eq!(
-                ranged,
+                &*ranged,
                 encode(&msg.slice(range.clone())),
                 "range {range:?} differs from encoding the sliced message"
             );

@@ -5,8 +5,8 @@ use tensor::TensorRng;
 
 /// A distribution over message transit times.
 ///
-/// The simulator draws one delay per message; the adversary can then add
-/// targeted extra delay via [`crate::AdversarialSchedule`]. All variants
+/// The simulator draws one delay per message; a [`crate::FaultPlan`]'s
+/// `Delay` rules can then stretch it on targeted links. All variants
 /// produce strictly positive delays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DelayModel {

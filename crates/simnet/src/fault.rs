@@ -1,11 +1,13 @@
 //! Scripted network-fault injection: partitions, crashes, drops, spikes.
 //!
-//! [`crate::AdversarialSchedule`] models an adversary *slowing* honest
-//! traffic; a [`FaultPlan`] models the *environment* misbehaving — links
-//! that sever, nodes that crash and recover, lossy paths and congestion
-//! windows. The two compose: the fault plan decides whether a message
-//! survives at all (and how much environmental delay it picks up), then the
-//! adversarial schedule stretches whatever is left.
+//! A [`FaultPlan`] models the *environment* misbehaving — links that
+//! sever, nodes that crash and recover, lossy paths and congestion windows
+//! — and, with the same `Delay` effect on a `From` / `To` scope, the
+//! paper's adversary *slowing* honest traffic ("congest some parts of the
+//! network for some short periods of time", §2). Because GuanYu only ever
+//! waits for quorums, such scheduling degrades throughput but not safety.
+//! The plan decides whether a message survives at all and how much delay
+//! it picks up on top of the physical [`crate::DelayModel`].
 //!
 //! Every rule is a time window over a [`LinkScope`]; rule evaluation is a
 //! pure function of `(send time, from, to, sequence number)`, so a seeded

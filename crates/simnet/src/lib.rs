@@ -16,13 +16,13 @@
 //! * [`DelayModel`] — pluggable link-delay distributions, including
 //!   [`DelayModel::BandwidthLatency`] (calibrated to model the paper's
 //!   10 Gbps Ethernet) and heavy-tail variants.
-//! * [`AdversarialSchedule`] — targeted extra delays on honest traffic,
-//!   modelling the adversary's (partial) control of the network, e.g.
-//!   congesting chosen links for chosen periods.
-//! * [`FaultPlan`] — scripted *environmental* faults: network partitions
-//!   with heal times, node crash/recovery windows, lossy links and delay
-//!   spikes. Evaluated deterministically per message, so faulty runs
-//!   replay bit-identically (the scenario layer's foundation).
+//! * [`FaultPlan`] — the one vocabulary for perturbing links: network
+//!   partitions with heal times, node crash/recovery windows, lossy links,
+//!   and targeted or network-wide delays — the environment misbehaving as
+//!   well as the adversary's (partial) control of message scheduling, e.g.
+//!   congesting chosen links for chosen periods. Evaluated
+//!   deterministically per message, so faulty runs replay bit-identically
+//!   (the scenario layer's foundation).
 //! * [`TrafficStats`] — per-node message/byte counters and delivery traces
 //!   used by the throughput figures.
 //! * [`NetworkModel`] / [`SwitchedConfig`] — an optional switched-topology
@@ -64,7 +64,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-mod adversary;
 mod delay;
 mod fault;
 mod sim;
@@ -72,7 +71,6 @@ mod stats;
 mod time;
 mod topo;
 
-pub use adversary::AdversarialSchedule;
 pub use delay::DelayModel;
 pub use fault::{FaultEffect, FaultPlan, FaultRule, FaultVerdict, LinkScope};
 pub use sim::{Context, NodeId, SimNode, Simulator};

@@ -6,7 +6,6 @@ use std::collections::BinaryHeap;
 use serde::{Deserialize, Serialize};
 use tensor::TensorRng;
 
-use crate::adversary::AdversarialSchedule;
 use crate::delay::DelayModel;
 use crate::fault::{FaultPlan, FaultVerdict};
 use crate::stats::{DeliveryRecord, TrafficStats};
@@ -103,7 +102,7 @@ impl<M> Context<'_, M> {
 
     /// Covert-channel send between colluding Byzantine nodes: delivered
     /// with zero delay, invisible to the physical delay model and to the
-    /// adversarial schedule (the adversary does not throttle itself).
+    /// [`FaultPlan`] (the adversary does not throttle itself).
     pub fn send_instant(&mut self, to: NodeId, msg: M) {
         self.outbox.push(Outgoing {
             to,
@@ -206,7 +205,6 @@ pub struct Simulator<M> {
     seq: u64,
     rng: TensorRng,
     delay: DelayModel,
-    adversary: AdversarialSchedule,
     faults: FaultPlan,
     stats: TrafficStats,
     deadline: Option<SimTime>,
@@ -224,7 +222,6 @@ impl<M> Simulator<M> {
             seq: 0,
             rng: TensorRng::new(seed),
             delay,
-            adversary: AdversarialSchedule::none(),
             faults: FaultPlan::none(),
             stats: TrafficStats::new(0, false),
             deadline: None,
@@ -233,19 +230,12 @@ impl<M> Simulator<M> {
         }
     }
 
-    /// Installs an adversarial schedule (builder style).
-    #[must_use]
-    pub fn with_adversary(mut self, schedule: AdversarialSchedule) -> Self {
-        self.adversary = schedule;
-        self
-    }
-
     /// Installs a scripted [`FaultPlan`] (builder style). The plan judges
     /// every non-covert message at send time: dropped messages never enter
     /// the event queue (counted in `TrafficStats::messages_dropped`);
-    /// delayed ones pick up environmental delay before the adversarial
-    /// schedule applies. Covert sends ([`Context::send_instant`]) bypass
-    /// the plan — the adversary's own network does not fail.
+    /// delayed ones pick up the matching rules' delay. Covert sends
+    /// ([`Context::send_instant`]) bypass the plan — the adversary's own
+    /// network neither fails nor throttles itself.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -353,10 +343,10 @@ impl<M> Simulator<M> {
             return;
         }
         // Physical delay is always sampled (keeps the RNG stream
-        // identical with and without a fault plan), then the
-        // environment and finally the adversary act on it.
+        // identical with and without a fault plan), then the plan acts
+        // on it.
         let physical = self.delay.sample(out.bytes, &mut self.rng);
-        let physical = match self.faults.judge(depart, from, out.to, self.seq, physical) {
+        let transit = match self.faults.judge(depart, from, out.to, self.seq, physical) {
             FaultVerdict::Drop => {
                 self.stats.on_send(from, out.bytes);
                 self.stats.on_drop();
@@ -365,7 +355,6 @@ impl<M> Simulator<M> {
             }
             FaultVerdict::Deliver { extra_delay_secs } => physical + extra_delay_secs,
         };
-        let transit = self.adversary.apply(depart, from, out.to, physical);
         let at = depart.after_secs(transit);
         self.stats.on_send(from, out.bytes);
         let seq = self.next_seq();
@@ -397,7 +386,6 @@ impl<M> Simulator<M> {
             }
             FaultVerdict::Deliver { extra_delay_secs } => extra_delay_secs,
         };
-        let extra = self.adversary.apply(depart, from, out.to, extra);
         if out.to.0 >= self.nodes.len() {
             // No such host in the topology; mirrors the base path, where a
             // message to an unknown node is skipped at delivery time.
@@ -823,12 +811,16 @@ mod tests {
 
     #[test]
     fn adversarial_congestion_delays_victim() {
-        let schedule = AdversarialSchedule::none().congest_ingress(
-            NodeId(1),
-            SimTime::ZERO,
-            SimTime(u64::MAX),
-            100.0,
-        );
+        use crate::fault::{FaultEffect, FaultRule, LinkScope};
+        let plan = FaultPlan::none().with_rule(FaultRule {
+            scope: LinkScope::To(NodeId(1)),
+            start: SimTime::ZERO,
+            end: SimTime(u64::MAX),
+            effect: FaultEffect::Delay {
+                factor: 100.0,
+                extra_secs: 0.0,
+            },
+        });
         struct Once;
         impl SimNode<()> for Once {
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
@@ -840,7 +832,7 @@ mod tests {
             fn on_message(&mut self, _f: NodeId, _m: (), _c: &mut Context<'_, ()>) {}
         }
         let mut sim = Simulator::new(1, DelayModel::Fixed { seconds: 0.01 })
-            .with_adversary(schedule)
+            .with_faults(plan)
             .with_tracing();
         sim.add_node(Box::new(Once));
         sim.add_node(Box::new(Once));

@@ -16,9 +16,9 @@ use guanyu::config::ClusterConfig;
 use guanyu::cost::CostModel;
 use guanyu::protocol::{build_simulation, ProtocolConfig};
 use nn::{models, LrSchedule};
-use simnet::{AdversarialSchedule, DelayModel, NodeId, SimTime};
+use simnet::{DelayModel, FaultEffect, FaultPlan, FaultRule, LinkScope, NodeId, SimTime};
 
-fn run(label: &str, schedule: AdversarialSchedule) {
+fn run(label: &str, plan: FaultPlan) {
     let train = synthetic_cifar(&SyntheticConfig {
         train: 256,
         test: 0,
@@ -53,7 +53,7 @@ fn run(label: &str, schedule: AdversarialSchedule) {
         DelayModel::grid5000(),
     )
     .expect("simulation");
-    let mut sim = sim.with_adversary(schedule);
+    let mut sim = sim.with_faults(plan);
     let delivered = sim.run();
 
     let rec = recorder.borrow();
@@ -75,12 +75,20 @@ fn run(label: &str, schedule: AdversarialSchedule) {
 }
 
 fn main() {
-    run("clean 10 Gbps network", AdversarialSchedule::none());
+    run("clean 10 Gbps network", FaultPlan::none());
     run(
         "adversarial scheduling (server-0 ingress 50x slower, worker-6 straggles 2s)",
-        AdversarialSchedule::none()
-            .congest_ingress(NodeId(0), SimTime::ZERO, SimTime(u64::MAX), 50.0)
-            .straggler(NodeId(12), 2.0),
+        FaultPlan::none()
+            .with_rule(FaultRule {
+                scope: LinkScope::To(NodeId(0)),
+                start: SimTime::ZERO,
+                end: SimTime(u64::MAX),
+                effect: FaultEffect::Delay {
+                    factor: 50.0,
+                    extra_secs: 0.0,
+                },
+            })
+            .straggler(NodeId(12), 2.0, SimTime::ZERO, SimTime(u64::MAX)),
     );
     println!(
         "same updates completed in both runs: GuanYu's quorums wait for the \
