@@ -214,7 +214,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact `usize` or a
+    /// Element-count specification for [`vec()`]: an exact `usize` or a
     /// half-open `Range<usize>`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

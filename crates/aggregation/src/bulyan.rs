@@ -12,8 +12,9 @@ use crate::{AggregationError, Gar, Result};
 /// in high dimension: an attacker can stay close in L2 norm while planting a
 /// huge error in one coordinate. It proceeds in two phases:
 ///
-/// 1. **Selection**: repeatedly run [`Krum`] on the remaining inputs, moving
-///    each winner into a selection set `S`, until `|S| = n - 2f`.
+/// 1. **Selection**: repeatedly pick the remaining input with the smallest
+///    Krum score, moving each winner into a selection set `S`, until
+///    `|S| = n - 2f`.
 /// 2. **Fold**: for each coordinate, average the `n - 4f` values of `S`
 ///    closest to the coordinate's median.
 ///

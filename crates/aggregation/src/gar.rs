@@ -92,8 +92,6 @@ pub enum GarKind {
     Average,
     /// Coordinate-wise median, `M` in the paper.
     Median,
-    /// Krum (selects a single vector).
-    Krum,
     /// Multi-Krum, `F` in the paper.
     MultiKrum,
     /// Coordinate-wise trimmed mean.
@@ -112,13 +110,12 @@ impl GarKind {
     /// # Errors
     ///
     /// Returns [`AggregationError::InvalidConfig`] if `f` is invalid for the
-    /// rule (`f = 0` for trimmed-mean and Bulyan; Krum variants accept
+    /// rule (`f = 0` for trimmed-mean and Bulyan; Multi-Krum accepts
     /// `f = 0` as a degenerate case).
     pub fn build(self, f: usize) -> Result<Box<dyn Gar>> {
         Ok(match self {
             GarKind::Average => Box::new(crate::Average::new()),
             GarKind::Median => Box::new(crate::CoordinateWiseMedian::new()),
-            GarKind::Krum => Box::new(crate::Krum::new(f)?),
             GarKind::MultiKrum => Box::new(crate::MultiKrum::new(f)?),
             GarKind::TrimmedMean => Box::new(crate::TrimmedMean::new(f)?),
             GarKind::Bulyan => Box::new(crate::Bulyan::new(f)?),
@@ -133,7 +130,6 @@ impl std::fmt::Display for GarKind {
         let s = match self {
             GarKind::Average => "average",
             GarKind::Median => "median",
-            GarKind::Krum => "krum",
             GarKind::MultiKrum => "multi-krum",
             GarKind::TrimmedMean => "trimmed-mean",
             GarKind::Bulyan => "bulyan",
@@ -197,7 +193,6 @@ mod tests {
         for kind in [
             GarKind::Average,
             GarKind::Median,
-            GarKind::Krum,
             GarKind::MultiKrum,
             GarKind::TrimmedMean,
             GarKind::Bulyan,

@@ -13,38 +13,19 @@ use crate::{Gar, Result};
 /// invariant; it shares the optimal breakdown point of 1/2 (Rousseeuw 1985,
 /// cited as reference 34 in the paper for the optimality argument). It is included
 /// as an ablation comparator for GuanYu's model-exchange fold.
-#[derive(Debug, Clone, Copy)]
-pub struct GeometricMedian {
-    max_iters: usize,
-    tolerance: f32,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GeometricMedian;
 
-impl Default for GeometricMedian {
-    fn default() -> Self {
-        GeometricMedian {
-            max_iters: 100,
-            tolerance: 1e-7,
-        }
-    }
-}
+/// Weiszfeld iteration budget.
+const MAX_ITERS: usize = 100;
+/// Convergence tolerance on the iterate displacement.
+const TOLERANCE: f32 = 1e-7;
 
 impl GeometricMedian {
-    /// Creates the rule with default iteration limits (100 iterations,
-    /// tolerance 1e-7 on the iterate displacement).
+    /// Creates the rule (at most 100 iterations, tolerance 1e-7 on the
+    /// iterate displacement).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides the iteration budget.
-    pub fn with_max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters;
-        self
-    }
-
-    /// Overrides the convergence tolerance.
-    pub fn with_tolerance(mut self, tol: f32) -> Self {
-        self.tolerance = tol;
-        self
+        GeometricMedian
     }
 }
 
@@ -65,7 +46,7 @@ impl Gar for GeometricMedian {
         validate_inputs(inputs, 1)?;
         // Start from the arithmetic mean.
         let mut y = Tensor::mean_of(inputs)?;
-        for _ in 0..self.max_iters {
+        for _ in 0..MAX_ITERS {
             // Weiszfeld update: y' = (Σ x_i / d_i) / (Σ 1 / d_i), with the
             // standard guard for iterates that coincide with an input point.
             let mut numer = Tensor::zeros(y.dims());
@@ -86,7 +67,7 @@ impl Gar for GeometricMedian {
             let next = numer.scale(1.0 / denom);
             let moved = next.distance(&y)?;
             y = next;
-            if moved < self.tolerance {
+            if moved < TOLERANCE {
                 break;
             }
         }

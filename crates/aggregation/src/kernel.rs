@@ -19,8 +19,8 @@
 //!   of the inputs alone, so they commute with slicing: folding a slice of
 //!   every input is the same bits as slicing the fold — the identity the
 //!   sharded gradient plane rests on (`kernels_commute_with_slicing`). The
-//!   order-statistic rules sort [`TILE`] coordinates at once, see
-//!   [`sorted_tiles`], but every lane of a tile is still its own column;
+//!   order-statistic rules sort `TILE` coordinates at once, see
+//!   `sorted_tiles`, but every lane of a tile is still its own column;
 //! * each entry of the Krum-family pairwise-distance matrix is a pure
 //!   function of its two input vectors, one `f64` chain in coordinate
 //!   order.

@@ -1,4 +1,4 @@
-//! Krum and Multi-Krum — `F` in the paper.
+//! Multi-Krum — `F` in the paper.
 
 use tensor::Tensor;
 
@@ -22,63 +22,13 @@ fn krum_scores(inputs: &[Tensor], f: usize) -> Vec<f32> {
     kernel::krum_scores(&dist, n, k)
 }
 
-/// Krum: selects the single smallest-scoring input vector.
-///
-/// Requires `n ≥ 2f + 3` inputs to tolerate `f` Byzantine ones.
-#[derive(Debug, Clone, Copy)]
-pub struct Krum {
-    f: usize,
-}
-
-impl Krum {
-    /// Creates Krum declared to withstand `f` Byzantine inputs.
-    ///
-    /// `f = 0` is the degenerate "trust but score" case (GuanYu declared
-    /// with `f̄ = 0` still runs Multi-Krum): scores are computed over the
-    /// `n − 2` closest neighbours and the selection proceeds as usual, with
-    /// the minimum input count dropping to 3.
-    ///
-    /// # Errors
-    ///
-    /// Reserved for future parameter validation; currently always `Ok`.
-    pub fn new(f: usize) -> Result<Self> {
-        Ok(Krum { f })
-    }
-
-    /// The declared Byzantine input count.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-}
-
-impl Gar for Krum {
-    fn name(&self) -> String {
-        format!("krum(f={})", self.f)
-    }
-
-    fn minimum_inputs(&self) -> usize {
-        2 * self.f + 3
-    }
-
-    fn byzantine_tolerance(&self) -> usize {
-        self.f
-    }
-
-    fn aggregate(&self, inputs: &[Tensor]) -> Result<Tensor> {
-        validate_inputs(inputs, self.minimum_inputs())?;
-        let scores = krum_scores(inputs, self.f);
-        let winner = kernel::select_smallest(&scores, 1)[0];
-        // Zero-copy: the winner is returned by refcount bump.
-        Ok(inputs[winner].clone())
-    }
-}
-
 /// Multi-Krum — the gradient aggregation rule `F` used by GuanYu's
 /// parameter servers.
 ///
-/// Scores every input like [`Krum`], then averages the `n - f - 2`
-/// smallest-scoring inputs (§3.1 of the paper). Averaging the selected set
-/// recovers some of the variance reduction that plain Krum sacrifices, while
+/// Scores every input like Krum (Blanchard et al., NeurIPS 2017), then
+/// averages the `n - f - 2` smallest-scoring inputs (§3.1 of the paper).
+/// Averaging the selected set recovers some of the variance reduction that
+/// Krum's single pick sacrifices, while
 /// the selection step keeps the *bounded deviation* property proved in the
 /// paper's supplementary §9.2.2: the output stays within a constant times
 /// the honest inputs' diameter.
@@ -90,8 +40,12 @@ pub struct MultiKrum {
 }
 
 impl MultiKrum {
-    /// Creates Multi-Krum declared to withstand `f` Byzantine inputs
-    /// (`f = 0` is the degenerate case; see [`Krum::new`]).
+    /// Creates Multi-Krum declared to withstand `f` Byzantine inputs.
+    ///
+    /// `f = 0` is the degenerate "trust but score" case (GuanYu declared
+    /// with `f̄ = 0` still runs Multi-Krum): scores are computed over the
+    /// `n − 2` closest neighbours and the selection proceeds as usual, with
+    /// the minimum input count dropping to 3.
     ///
     /// # Errors
     ///
@@ -174,7 +128,7 @@ mod tests {
     fn f_zero_degenerate_case() {
         // f = 0: min inputs drops to 3 and the rule behaves like a
         // centrality-weighted mean.
-        let krum = Krum::new(0).unwrap();
+        let krum = MultiKrum::new(0).unwrap();
         assert_eq!(krum.minimum_inputs(), 3);
         let xs: Vec<Tensor> = (0..3).map(|i| Tensor::from_flat(vec![i as f32])).collect();
         let out = MultiKrum::new(0).unwrap().aggregate(&xs).unwrap();
@@ -184,7 +138,7 @@ mod tests {
 
     #[test]
     fn minimum_inputs_is_2f_plus_3() {
-        assert_eq!(Krum::new(2).unwrap().minimum_inputs(), 7);
+        assert_eq!(MultiKrum::new(2).unwrap().minimum_inputs(), 7);
         assert_eq!(MultiKrum::new(5).unwrap().minimum_inputs(), 13);
     }
 
@@ -196,14 +150,6 @@ mod tests {
             mk.aggregate(&xs),
             Err(AggregationError::NotEnoughInputs { required: 5, .. })
         ));
-    }
-
-    #[test]
-    fn krum_picks_an_honest_vector() {
-        let xs = clustered_inputs();
-        let out = Krum::new(1).unwrap().aggregate(&xs).unwrap();
-        // output must be one of the honest inputs
-        assert!(xs[..6].iter().any(|h| h == &out));
     }
 
     #[test]
@@ -252,7 +198,6 @@ mod tests {
 
     #[test]
     fn names_include_f() {
-        assert_eq!(Krum::new(3).unwrap().name(), "krum(f=3)");
         assert_eq!(MultiKrum::new(5).unwrap().name(), "multi-krum(f=5)");
     }
 

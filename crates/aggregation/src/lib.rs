@@ -16,7 +16,7 @@
 //!
 //! The crate also ships the vulnerable baseline ([`Average`]) and several
 //! alternative robust rules used in the ablation benchmarks:
-//! [`Krum`], [`TrimmedMean`], [`Bulyan`], [`GeometricMedian`].
+//! [`TrimmedMean`], [`Meamed`], [`Bulyan`], [`GeometricMedian`].
 //!
 //! All rules implement the object-safe [`Gar`] trait so the protocol code
 //! can swap them at run time. Each rule is a thin validation shim over a
@@ -66,7 +66,7 @@ pub use bulyan::Bulyan;
 pub use error::AggregationError;
 pub use gar::{Gar, GarKind};
 pub use geometric_median::GeometricMedian;
-pub use krum::{Krum, MultiKrum};
+pub use krum::MultiKrum;
 pub use meamed::Meamed;
 pub use median::CoordinateWiseMedian;
 pub use trimmed_mean::TrimmedMean;

@@ -8,7 +8,7 @@
 //! `f64::total_cmp`), so extreme values reorder deterministically instead
 //! of aborting an honest server mid-round.
 
-use aggregation::{Bulyan, CoordinateWiseMedian, Gar, Krum, MultiKrum, TrimmedMean};
+use aggregation::{Bulyan, CoordinateWiseMedian, Gar, MultiKrum, TrimmedMean};
 use tensor::Tensor;
 
 /// 6 honest vectors near the origin plus one at ±f32::MAX: pairwise
@@ -20,17 +20,6 @@ fn overflow_cluster() -> Vec<Tensor> {
         .collect();
     xs.push(Tensor::from_flat(vec![f32::MAX, -f32::MAX]));
     xs
-}
-
-#[test]
-fn krum_survives_score_overflow() {
-    let xs = overflow_cluster();
-    let out = Krum::new(1)
-        .unwrap()
-        .aggregate(&xs)
-        .expect("no panic, no error");
-    // The winner must be one of the honest inputs.
-    assert!(xs[..6].iter().any(|h| h == &out));
 }
 
 #[test]

@@ -10,11 +10,13 @@
 //! Usage: `ablate_exchange [--steps 150] [--seed 7] [--quick]`
 
 use guanyu::experiment::{build_trainer, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 50 } else { 150 });
-    let seed: u64 = arg("seed", 7);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 50 } else { 150 });
+    let seed: u64 = arg(&args, "seed", 7);
 
     println!("Exchange ablation | GuanYu (6,1,18,5) | {steps} steps\n");
     let mut summary = Vec::new();

@@ -11,11 +11,13 @@
 
 use guanyu::config::ClusterConfig;
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 60 } else { 200 });
-    let seed: u64 = arg("seed", 5);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 60 } else { 200 });
+    let seed: u64 = arg(&args, "seed", 5);
 
     // n̄ = 18, f̄ = 2 → q̄ ∈ [7, 16]; f = 1 on 6 servers → q = 5.
     let sweep = [7usize, 10, 13, 16];

@@ -11,11 +11,13 @@
 
 use byzantine::AttackKind;
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 50 } else { 150 });
-    let seed: u64 = arg("seed", 9);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 50 } else { 150 });
+    let seed: u64 = arg(&args, "seed", 9);
 
     let attacks: Vec<AttackKind> = vec![
         AttackKind::SignFlip { factor: 1.0 },

@@ -9,12 +9,14 @@
 
 use guanyu::config::ClusterConfig;
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, print_curve, print_time_to_accuracy, save_json};
+use guanyu_bench::{print_curve, print_time_to_accuracy, save_json};
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let batch: usize = arg("batch", 32);
-    let steps: u64 = arg("steps", if flag("quick") { 60 } else { 400 });
-    let seed: u64 = arg("seed", 1);
+    let args: Vec<String> = std::env::args().collect();
+    let batch: usize = arg(&args, "batch", 32);
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 60 } else { 400 });
+    let seed: u64 = arg(&args, "seed", 1);
 
     let mut base = ExperimentConfig::paper_shaped(seed);
     base.batch_size = batch;

@@ -9,11 +9,13 @@
 
 use byzantine::AttackKind;
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, print_curve, save_json};
+use guanyu_bench::{print_curve, save_json};
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 60 } else { 400 });
-    let seed: u64 = arg("seed", 2);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 60 } else { 400 });
+    let seed: u64 = arg(&args, "seed", 2);
 
     let mut base = ExperimentConfig::paper_shaped(seed);
     base.steps = steps;

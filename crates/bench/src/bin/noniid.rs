@@ -13,11 +13,13 @@
 use aggregation::GarKind;
 use data::{label_skew, partition_indices, synthetic_cifar, Partition};
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 60 } else { 200 });
-    let seed: u64 = arg("seed", 8);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 60 } else { 200 });
+    let seed: u64 = arg(&args, "seed", 8);
 
     println!("Non-IID extension | GuanYu (6,1,18,5) | {steps} steps | Dirichlet sweep\n");
     println!(

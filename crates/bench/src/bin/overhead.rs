@@ -13,7 +13,8 @@
 
 use guanyu::cost::CostModel;
 use guanyu::experiment::{run, ExperimentConfig, SystemKind};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn analytic() -> (f64, f64, f64) {
     let d = 1_750_000usize;
@@ -41,8 +42,9 @@ fn analytic() -> (f64, f64, f64) {
 }
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 60 } else { 300 });
-    let seed: u64 = arg("seed", 4);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 60 } else { 300 });
+    let seed: u64 = arg(&args, "seed", 4);
 
     println!("== analytic per-step cost at the paper's scale ==");
     let (t_tf, t_gyv, t_gyb) = analytic();

@@ -9,14 +9,16 @@
 //! Flags: `--seed <u64>` (default 40), `--steps <u64>` (default 36),
 //! `--tiny` (keep the test-sized shape instead of the paper deployment).
 
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
 use scenario::check::{assert_deterministic, check_invariants, InvariantReport};
+use scenario::cli::{arg, flag};
 use scenario::{matrix, Engine};
 
 fn main() {
-    let seed: u64 = arg("seed", 40);
-    let steps: u64 = arg("steps", 36);
-    let tiny = flag("tiny");
+    let args: Vec<String> = std::env::args().collect();
+    let seed: u64 = arg(&args, "seed", 40);
+    let steps: u64 = arg(&args, "steps", 36);
+    let tiny = flag(&args, "tiny");
 
     println!("== scenario sweep: fault-injection matrix ==");
     println!(

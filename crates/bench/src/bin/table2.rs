@@ -9,11 +9,13 @@
 
 use guanyu::contraction::aligned_fraction;
 use guanyu::experiment::{run_with_alignment, ExperimentConfig};
-use guanyu_bench::{arg, flag, save_json};
+use guanyu_bench::save_json;
+use scenario::cli::{arg, flag};
 
 fn main() {
-    let steps: u64 = arg("steps", if flag("quick") { 120 } else { 400 });
-    let seed: u64 = arg("seed", 3);
+    let args: Vec<String> = std::env::args().collect();
+    let steps: u64 = arg(&args, "steps", if flag(&args, "quick") { 120 } else { 400 });
+    let seed: u64 = arg(&args, "seed", 3);
 
     let mut cfg = ExperimentConfig::paper_shaped(seed);
     cfg.steps = steps;

@@ -2,7 +2,8 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md §3 for the index). They all print aligned text tables to
-//! stdout and write machine-readable JSON into `results/`.
+//! stdout and write machine-readable JSON into `results/`; their flags are
+//! parsed by `scenario::cli`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -11,41 +12,6 @@ use std::fs;
 use std::path::PathBuf;
 
 use guanyu::metrics::RunResult;
-
-/// `--name value` lookup over `args`: the default when the flag is absent.
-///
-/// # Errors
-///
-/// A flag that is present with a missing or unparsable value is an error
-/// naming the flag — `--steps 4o0` must not silently run the default.
-fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    let Some(i) = args.iter().position(|a| a == &format!("--{name}")) else {
-        return Ok(default);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| format!("--{name} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("--{name}: cannot read `{value}`"))
-}
-
-/// Parses a `--name value` flag from `std::env::args`: the default when
-/// the flag is absent; a present flag with a missing or unparsable value
-/// prints an error naming it and exits with code 2. Unknown flags are
-/// ignored.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    parse_arg(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
-}
-
-/// Returns true when `--flag` is present (no value).
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
-}
 
 /// Writes a JSON value under `results/<name>.json` (creating the
 /// directory), and prints where it went.
@@ -105,24 +71,6 @@ pub fn print_time_to_accuracy(results: &[RunResult], target: f32) {
 mod tests {
     use super::*;
     use guanyu::metrics::TrainingRecord;
-
-    #[test]
-    fn arg_falls_back_to_default() {
-        assert_eq!(arg("definitely-not-passed", 42usize), 42);
-    }
-
-    #[test]
-    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
-        let args: Vec<String> = ["bin", "--steps", "4o0", "--seed", "9", "--samples"]
-            .map(String::from)
-            .to_vec();
-        assert_eq!(parse_arg(&args, "seed", 1u64), Ok(9));
-        assert_eq!(parse_arg(&args, "batch", 32usize), Ok(32));
-        let bad = parse_arg(&args, "steps", 150u64).unwrap_err();
-        assert!(bad.contains("--steps") && bad.contains("4o0"), "{bad}");
-        let missing = parse_arg(&args, "samples", 50usize).unwrap_err();
-        assert!(missing.contains("--samples"), "{missing}");
-    }
 
     #[test]
     fn printing_does_not_panic() {

@@ -1,6 +1,7 @@
 //! Error type for the protocol layer.
 
 use std::fmt;
+use std::time::Duration;
 
 /// Errors produced by the GuanYu protocol and experiment harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,6 +16,8 @@ pub enum GuanYuError {
     Data(String),
     /// The transport layer failed (socket setup, handshake, I/O).
     Transport(String),
+    /// A wall-clock driver aborted the run after this long.
+    WallTimeout(Duration),
 }
 
 impl fmt::Display for GuanYuError {
@@ -25,6 +28,7 @@ impl fmt::Display for GuanYuError {
             GuanYuError::Nn(msg) => write!(f, "model failure: {msg}"),
             GuanYuError::Data(msg) => write!(f, "data failure: {msg}"),
             GuanYuError::Transport(msg) => write!(f, "transport failure: {msg}"),
+            GuanYuError::WallTimeout(limit) => write!(f, "run exceeded wall timeout of {limit:?}"),
         }
     }
 }

@@ -72,7 +72,6 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod checkpoint;
 pub mod config;
 pub mod contraction;
 pub mod cost;

@@ -36,7 +36,6 @@ use nn::{LrSchedule, Sequential};
 use simnet::DelayModel;
 use tensor::{Tensor, TensorRng};
 
-use crate::checkpoint::Checkpoint;
 use crate::config::ClusterConfig;
 use crate::contraction::{alignment_snapshot, AlignmentRecord};
 use crate::cost::CostModel;
@@ -45,7 +44,7 @@ use crate::metrics::{evaluate, RunResult, TrainingRecord};
 use crate::node::{self, MachineConfig, MachineSpec, NodeMsg, Output, QuorumMode, StepRecord};
 use crate::plant::{GradientSource, Node, Plant};
 use crate::trace::Trace;
-use crate::{GuanYuError, Result};
+use crate::Result;
 
 /// Initial plan horizon; the trainer doubles it whenever a run outgrows
 /// the current [`MachineSpec`] (callers do not declare a step budget).
@@ -203,7 +202,7 @@ impl LockstepTrainer {
     ///
     /// # Errors
     ///
-    /// Returns [`GuanYuError::InvalidConfig`] for inconsistent Byzantine
+    /// Returns [`crate::GuanYuError::InvalidConfig`] for inconsistent Byzantine
     /// counts or an invalid cluster, and propagates substrate errors.
     pub fn new(
         cfg: LockstepConfig,
@@ -308,69 +307,6 @@ impl LockstepTrainer {
     /// same folding every engine uses.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Snapshots the run into a durable [`Checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GuanYuError::InvalidConfig`] when the run has diverged
-    /// (non-finite parameters cannot be resumed).
-    pub fn checkpoint(&self) -> Result<Checkpoint> {
-        let ckpt = Checkpoint::new(self.step, self.sim_time, self.server_params.clone());
-        ckpt.validate()?;
-        Ok(ckpt)
-    }
-
-    /// Restores a previous [`Checkpoint`] into this trainer: server models,
-    /// step counter and simulated clock are replaced, the machines rewound
-    /// to the checkpointed step, and in-flight messages dropped. The
-    /// trainer's RNG and batch streams continue (they are not rewound), so
-    /// a resumed run is statistically — not bitwise — identical to an
-    /// uninterrupted one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GuanYuError::InvalidConfig`] when the checkpoint's shape
-    /// does not match this deployment (server count or dimension).
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<()> {
-        ckpt.validate()?;
-        if ckpt.server_params.len() != self.server_params.len() {
-            return Err(GuanYuError::InvalidConfig(format!(
-                "checkpoint has {} servers, deployment has {}",
-                ckpt.server_params.len(),
-                self.server_params.len()
-            )));
-        }
-        if ckpt.dim() != self.dim {
-            return Err(GuanYuError::InvalidConfig(format!(
-                "checkpoint dimension {} does not match model dimension {}",
-                ckpt.dim(),
-                self.dim
-            )));
-        }
-        self.ensure_horizon(ckpt.step)?;
-        for (id, node) in self.nodes.iter_mut().enumerate() {
-            match node {
-                Node::Server(m) => m.restore(ckpt.server_params[id].clone(), ckpt.step),
-                Node::Worker(m) => m.restore(ckpt.step),
-                Node::ByzServer(_) | Node::ByzWorker(_) => {}
-            }
-        }
-        self.queue.clear();
-        self.pending.clear();
-        // The rounds from the checkpoint on are about to be re-done: their
-        // digests must be replaced, not merged with.
-        self.records.clear();
-        self.trace.rounds.retain(|r| r.step < ckpt.step);
-        self.server_params = ckpt.server_params.clone();
-        self.step = ckpt.step;
-        self.sim_time = ckpt.sim_time_secs;
-        self.diverged = false;
-        // Re-announcing happens on the next step(): on_start makes every
-        // live server rebroadcast its (restored) model.
-        self.started = false;
-        Ok(())
     }
 
     /// Doubles the plan horizon until it covers `round + 1` and swaps the
@@ -525,9 +461,7 @@ impl LockstepTrainer {
         }
         phase += worst + cfg.cost.convert_secs(d);
         phase += match cfg.server_gar {
-            GarKind::MultiKrum | GarKind::Krum | GarKind::Bulyan => {
-                cfg.cost.multikrum_secs(q_grad, d)
-            }
+            GarKind::MultiKrum | GarKind::Bulyan => cfg.cost.multikrum_secs(q_grad, d),
             GarKind::Median | GarKind::TrimmedMean | GarKind::Meamed | GarKind::GeometricMedian => {
                 cfg.cost.median_secs(q_grad, d)
             }
@@ -1074,55 +1008,6 @@ mod tests {
             diam < scale,
             "honest servers must re-agree after the partition heals: {diam} vs {scale}"
         );
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrip() {
-        let (train, test) = tiny_data();
-        let mut cfg = LockstepConfig::guanyu(small_cluster(), 8);
-        cfg.trace_enabled = true;
-        let mut t =
-            LockstepTrainer::new(cfg.clone(), builder, train.clone(), test.clone()).unwrap();
-        for _ in 0..4 {
-            t.step().unwrap();
-        }
-        let ckpt = t.checkpoint().unwrap();
-        let json = ckpt.to_json().unwrap();
-        let fresh_prefix = t.trace().clone();
-
-        // Rewinding the same trainer re-does rounds 4 and 5: their digests
-        // replace the first attempt's, they never merge with them.
-        for _ in 0..2 {
-            t.step().unwrap();
-        }
-        t.restore(&ckpt).unwrap();
-        assert_eq!(t.trace(), &fresh_prefix, "restore truncates the trace");
-        for _ in 0..2 {
-            t.step().unwrap();
-        }
-        let steps: Vec<u64> = t.trace().rounds.iter().map(|r| r.step).collect();
-        assert_eq!(steps, (0..6).collect::<Vec<u64>>(), "one digest per step");
-        assert_eq!(t.trace().rounds[..4], fresh_prefix.rounds[..]);
-        t.restore(&ckpt).unwrap();
-
-        // Fresh trainer, restore, continue.
-        let mut t2 = LockstepTrainer::new(cfg, builder, train, test).unwrap();
-        let restored = crate::checkpoint::Checkpoint::from_json(&json).unwrap();
-        t2.restore(&restored).unwrap();
-        assert_eq!(t2.step_count(), 4);
-        assert_eq!(t2.honest_server_params(), t.honest_server_params());
-        t2.step().unwrap();
-        assert_eq!(t2.step_count(), 5);
-        assert!(t2.global_model().unwrap().is_finite());
-    }
-
-    #[test]
-    fn restore_rejects_shape_mismatch() {
-        let (train, test) = tiny_data();
-        let cfg = LockstepConfig::guanyu(small_cluster(), 8);
-        let mut t = LockstepTrainer::new(cfg, builder, train, test).unwrap();
-        let bad = crate::checkpoint::Checkpoint::new(1, 0.1, vec![Tensor::zeros(&[3]); 2]);
-        assert!(t.restore(&bad).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! folds `q̄` gradients and `q` exchanged models, a worker `q` models, of
 //! which at most `f̄` / `f` are Byzantine. That rule is written once:
 //!
-//! * a [`Ledger`] buffers inbound vectors with **one slot per sender per
+//! * a `Ledger` buffers inbound vectors with **one slot per sender per
 //!   step** (first message wins) in arrival order, so a quorum is always a
 //!   count of distinct senders;
 //! * each machine has one admission gate, one `pump` and one `try_*` per
@@ -129,7 +129,10 @@ impl NodeMsg {
     ///
     /// Panics when `range` does not fit the carried vector.
     pub fn slice(&self, range: std::ops::Range<usize>) -> NodeMsg {
-        let t = Tensor::from_flat(self.vector().as_slice()[range].to_vec());
+        let t = self
+            .vector()
+            .slice(range)
+            .expect("range fits the carried vector");
         match self {
             NodeMsg::Model { step, .. } => NodeMsg::Model {
                 step: *step,
@@ -1070,19 +1073,8 @@ impl ServerMachine {
         self.discarded
     }
 
-    /// Resets protocol state to `(params, step)` — checkpoint restore.
-    pub fn restore(&mut self, params: Tensor, step: u64) {
-        self.params = params;
-        self.step = step;
-        self.exchanging = false;
-        self.halted = step >= self.spec.cfg.max_steps;
-        self.grads = Ledger::default();
-        self.exchanges = Ledger::default();
-        self.grad_quorum.clear();
-    }
-
-    /// Broadcasts the current model to the workers (start-of-run, after a
-    /// step completes, and after a checkpoint restore).
+    /// Broadcasts the current model to the workers (start-of-run and after
+    /// a step completes).
     pub fn announce(&mut self, out: &mut Vec<Output>) {
         if self.halted || self.step >= self.spec.cfg.max_steps {
             return;
@@ -1329,14 +1321,6 @@ impl WorkerMachine {
     /// Messages discarded by planned-mode crash windows.
     pub fn discarded(&self) -> u64 {
         self.discarded
-    }
-
-    /// Resets the step counter (checkpoint restore).
-    pub fn restore(&mut self, step: u64) {
-        self.step = step;
-        self.awaiting = None;
-        self.halted = step >= self.spec.cfg.max_steps;
-        self.models = Ledger::default();
     }
 
     /// Starts the machine (runs planned-mode skip transitions).

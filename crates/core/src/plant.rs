@@ -201,7 +201,7 @@ impl Plant {
         let cfg = &self.spec.cfg;
         let spec = || Arc::clone(&self.spec);
         let dim = range.len();
-        let theta = self.theta0.shard_view(range.clone())?.to_tensor();
+        let theta = self.theta0.slice(range.clone())?;
         let mut nodes = Vec::with_capacity(cfg.cluster.servers + cfg.cluster.workers);
         for s in 0..cfg.cluster.servers {
             nodes.push(if s < cfg.honest_servers() {

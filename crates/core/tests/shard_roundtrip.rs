@@ -1,14 +1,15 @@
-//! Property tests for the sharded gradient plane's split→merge identity.
+//! Property tests for the sharded gradient plane's split→concatenate
+//! identity.
 //!
 //! The whole sharded runtime rests on one algebraic fact: slicing a
-//! parameter vector along a [`ShardPlan`]'s ranges and merging the slices
-//! back is the identity, bit for bit, for *any* plan — even splits,
+//! parameter vector along a [`ShardPlan`]'s ranges and concatenating the
+//! slices back is the identity, bit for bit, for *any* plan — even splits,
 //! uneven splits, 1-coordinate shards. These properties pin that fact at
-//! the `ShardPlan` × `TensorShard` seam.
+//! the `ShardPlan` × [`Tensor::slice`] seam.
 
 use guanyu::shard::ShardPlan;
 use proptest::prelude::*;
-use tensor::{Tensor, TensorShard};
+use tensor::Tensor;
 
 /// Deterministic pseudo-random payload (value depends on position so any
 /// reordering or off-by-one shows up as a bit mismatch).
@@ -21,32 +22,36 @@ fn payload(d: usize, salt: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Cuts `full` along `plan` with [`Tensor::slice`].
+fn split(full: &Tensor, plan: &ShardPlan) -> Vec<Tensor> {
+    plan.ranges().map(|r| full.slice(r).unwrap()).collect()
+}
+
+/// Concatenates slices back into one flat vector.
+fn concatenate(slices: &[Tensor]) -> Vec<f32> {
+    slices
+        .iter()
+        .flat_map(|s| s.as_slice().iter().copied())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Even plans: split along `ShardPlan::even` and merge back — the
-    /// round trip is bit-identical and (being a full contiguous tiling of
-    /// one storage) zero-copy.
+    /// Even plans: split along `ShardPlan::even` and concatenate back —
+    /// the round trip is bit-identical.
     #[test]
     fn even_plan_split_merge_is_identity(d in 1usize..400, shards in 1usize..16, salt in 0u64..1000) {
         let shards = shards.min(d); // plans with more shards than coords are rejected (tested below)
         let plan = ShardPlan::even(d, shards).unwrap();
         let full = Tensor::from_flat(payload(d, salt));
-        let views: Vec<TensorShard> = plan
-            .ranges()
-            .map(|r| full.shard_view(r).unwrap())
-            .collect();
+        let slices = split(&full, &plan);
         // Ranges tile 0..d: contiguous, uneven by at most one coordinate.
-        prop_assert_eq!(views.iter().map(TensorShard::len).sum::<usize>(), d);
-        let widths: Vec<usize> = views.iter().map(TensorShard::len).collect();
+        let widths: Vec<usize> = slices.iter().map(Tensor::len).collect();
+        prop_assert_eq!(widths.iter().sum::<usize>(), d);
         let (min, max) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
         prop_assert!(max - min <= 1, "even plan must balance within 1: {widths:?}");
-        let merged = Tensor::merge_shards(&views).unwrap();
-        prop_assert!(
-            views[0].shares_storage(&merged),
-            "full-tiling merge must be zero-copy"
-        );
-        prop_assert_eq!(merged.as_slice(), full.as_slice());
+        prop_assert_eq!(concatenate(&slices), full.as_slice());
     }
 
     /// Arbitrary uneven plans built from random cut points — including
@@ -67,12 +72,7 @@ proptest! {
         let d = *bounds.last().unwrap();
         let plan = ShardPlan::from_bounds(d, bounds).unwrap();
         let full = Tensor::from_flat(payload(d, salt));
-        let views: Vec<TensorShard> = plan
-            .ranges()
-            .map(|r| full.shard_view(r).unwrap())
-            .collect();
-        let merged = Tensor::merge_shards(&views).unwrap();
-        prop_assert_eq!(merged.as_slice(), full.as_slice());
+        prop_assert_eq!(concatenate(&split(&full, &plan)), full.as_slice());
     }
 
     /// More shards than coordinates is a typed error, never a panic or a

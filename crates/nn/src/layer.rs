@@ -25,8 +25,8 @@ pub trait Layer: Send {
     /// Human-readable layer name (used in error messages).
     fn name(&self) -> String;
 
-    /// Computes the layer output. `train` selects training-time behaviour
-    /// (kept for future layers like dropout; current layers ignore it).
+    /// Computes the layer output. No layer reads `train`; it stays in the
+    /// signature because the `perf` harness's layer decorators implement it.
     ///
     /// # Errors
     ///

@@ -11,7 +11,8 @@
 //!   workers in the protocol,
 //! * [`softmax_cross_entropy`] — the classification loss, returning the loss
 //!   value and the logits gradient in one pass,
-//! * [`Sgd`] with the paper's learning-rate schedules ([`LrSchedule`]),
+//! * [`LrSchedule`] — the paper's learning-rate schedules `η_t` (the server
+//!   machine applies `θ ← θ − η_t · F` itself),
 //! * [`models`] — the paper's Table-1 CNN (~1.75M parameters) plus smaller
 //!   models used by the fast experiments and tests.
 //!
@@ -21,7 +22,7 @@
 //! # Example: one SGD step
 //!
 //! ```
-//! use nn::{models, softmax_cross_entropy, Sgd, LrSchedule};
+//! use nn::{models, softmax_cross_entropy, LrSchedule};
 //! use tensor::{Tensor, TensorRng};
 //!
 //! let mut rng = TensorRng::new(0);
@@ -33,10 +34,9 @@
 //! let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
 //! model.backward(&grad).unwrap();
 //!
-//! let mut opt = Sgd::new(LrSchedule::constant(0.1));
+//! let eta = LrSchedule::constant(0.1).at(0);
 //! let mut params = model.param_vector();
-//! let grads = model.grad_vector();
-//! opt.step(&mut params, &grads).unwrap();
+//! params.axpy(-eta, &model.grad_vector()).unwrap();
 //! model.set_param_vector(&params).unwrap();
 //! assert!(loss > 0.0);
 //! ```
@@ -56,14 +56,14 @@ mod optimizer;
 mod pool;
 mod sequential;
 
-pub use activation::{Dropout, Relu, Sigmoid, Tanh};
+pub use activation::Relu;
 pub use conv::{Conv2d, Padding};
 pub use dense::Dense;
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::Layer;
 pub use loss::{accuracy, softmax, softmax_cross_entropy};
-pub use optimizer::{LrSchedule, Sgd};
+pub use optimizer::LrSchedule;
 pub use pool::MaxPool2d;
 pub use sequential::Sequential;
 

@@ -95,7 +95,7 @@ pub fn logistic_regression(features: usize, classes: usize, rng: &mut TensorRng)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{accuracy, softmax_cross_entropy, LrSchedule, Sgd};
+    use crate::{accuracy, softmax_cross_entropy};
     use tensor::Tensor;
 
     #[test]
@@ -140,7 +140,6 @@ mod tests {
     fn logistic_regression_learns_linearly_separable_data() {
         let mut rng = TensorRng::new(7);
         let mut model = logistic_regression(2, 2, &mut rng);
-        let mut opt = Sgd::new(LrSchedule::constant(0.5));
         // class 0: x0 < 0; class 1: x0 > 0
         let mut xs = Vec::new();
         let mut labels = Vec::new();
@@ -158,7 +157,7 @@ mod tests {
             let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
             model.backward(&grad).unwrap();
             let mut params = model.param_vector();
-            opt.step(&mut params, &model.grad_vector()).unwrap();
+            params.axpy(-0.5, &model.grad_vector()).unwrap();
             model.set_param_vector(&params).unwrap();
             last_loss = loss;
         }
@@ -175,7 +174,6 @@ mod tests {
         let mut model = small_cnn(8, 4, 3, &mut rng);
         let x = rng.uniform_tensor(&[6, 3, 8, 8], -1.0, 1.0);
         let labels = vec![0usize, 1, 2, 0, 1, 2];
-        let mut opt = Sgd::new(LrSchedule::constant(0.05));
         let mut first = 0.0;
         let mut last = 0.0;
         for it in 0..80 {
@@ -188,7 +186,7 @@ mod tests {
             last = loss;
             model.backward(&grad).unwrap();
             let mut params = model.param_vector();
-            opt.step(&mut params, &model.grad_vector()).unwrap();
+            params.axpy(-0.05, &model.grad_vector()).unwrap();
             model.set_param_vector(&params).unwrap();
         }
         assert!(

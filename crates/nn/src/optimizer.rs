@@ -1,9 +1,6 @@
-//! SGD and learning-rate schedules.
+//! Learning-rate schedules.
 
 use serde::{Deserialize, Serialize};
-use tensor::Tensor;
-
-use crate::Result;
 
 /// A learning-rate schedule `η_t`.
 ///
@@ -26,15 +23,6 @@ pub enum LrSchedule {
         /// Decay time constant (steps until the rate halves).
         tau: f32,
     },
-    /// Step decay: multiply by `gamma` every `every` steps.
-    StepDecay {
-        /// Initial learning rate.
-        eta0: f32,
-        /// Multiplicative factor per interval (0 < gamma ≤ 1).
-        gamma: f32,
-        /// Interval length in steps.
-        every: u64,
-    },
 }
 
 impl LrSchedule {
@@ -48,94 +36,12 @@ impl LrSchedule {
         LrSchedule::Inverse { eta0, tau }
     }
 
-    /// Step-decay schedule.
-    pub fn step_decay(eta0: f32, gamma: f32, every: u64) -> Self {
-        LrSchedule::StepDecay { eta0, gamma, every }
-    }
-
     /// The learning rate at step `t`.
     pub fn at(&self, t: u64) -> f32 {
         match *self {
             LrSchedule::Constant { eta0 } => eta0,
             LrSchedule::Inverse { eta0, tau } => eta0 / (1.0 + t as f32 / tau),
-            LrSchedule::StepDecay { eta0, gamma, every } => {
-                eta0 * gamma.powi((t / every.max(1)) as i32)
-            }
         }
-    }
-}
-
-/// Stochastic gradient descent on a flat parameter vector, with optional
-/// classical momentum.
-///
-/// The server-side update of GuanYu is exactly one [`Sgd::step`]:
-/// `θ ← θ − η_t · F(g₁ … g_q̄)`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    schedule: LrSchedule,
-    momentum: f32,
-    velocity: Option<Tensor>,
-    step: u64,
-}
-
-impl Sgd {
-    /// Plain SGD with the given schedule.
-    pub fn new(schedule: LrSchedule) -> Self {
-        Sgd {
-            schedule,
-            momentum: 0.0,
-            velocity: None,
-            step: 0,
-        }
-    }
-
-    /// Adds classical momentum `μ v_{t-1} + g_t`.
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// The number of updates applied so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.step
-    }
-
-    /// The learning rate the *next* update will use.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.at(self.step)
-    }
-
-    /// Applies one update in place: `params ← params − η_t · direction`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches between `params`, `grad` and the
-    /// momentum buffer.
-    pub fn step(&mut self, params: &mut Tensor, grad: &Tensor) -> Result<()> {
-        let eta = self.schedule.at(self.step);
-        if self.momentum > 0.0 {
-            let v = match self.velocity.take() {
-                Some(mut v) => {
-                    v.map_inplace(|x| x * self.momentum);
-                    v.add_assign(grad)?;
-                    v
-                }
-                None => grad.clone(),
-            };
-            params.axpy(-eta, &v)?;
-            self.velocity = Some(v);
-        } else {
-            params.axpy(-eta, grad)?;
-        }
-        self.step += 1;
-        Ok(())
-    }
-
-    /// Resets the step counter and momentum buffer.
-    pub fn reset(&mut self) {
-        self.step = 0;
-        self.velocity = None;
     }
 }
 
@@ -167,58 +73,6 @@ mod tests {
         let sum_sq: f64 = (0..100_000).map(|t| (s.at(t) as f64).powi(2)).sum();
         assert!(sum > 10.0); // grows like ln t
         assert!(sum_sq < 2.0); // converges to π²/6 ≈ 1.64
-    }
-
-    #[test]
-    fn step_decay_halves() {
-        let s = LrSchedule::step_decay(1.0, 0.5, 100);
-        assert_eq!(s.at(0), 1.0);
-        assert_eq!(s.at(99), 1.0);
-        assert_eq!(s.at(100), 0.5);
-        assert_eq!(s.at(250), 0.25);
-    }
-
-    #[test]
-    fn sgd_step_moves_against_gradient() {
-        let mut opt = Sgd::new(LrSchedule::constant(0.1));
-        let mut params = Tensor::from_flat(vec![1.0, -1.0]);
-        let grad = Tensor::from_flat(vec![1.0, -1.0]);
-        opt.step(&mut params, &grad).unwrap();
-        assert_eq!(params.as_slice(), &[0.9, -0.9]);
-        assert_eq!(opt.steps_taken(), 1);
-    }
-
-    #[test]
-    fn momentum_accumulates() {
-        let mut opt = Sgd::new(LrSchedule::constant(1.0)).with_momentum(0.5);
-        let mut params = Tensor::from_flat(vec![0.0]);
-        let grad = Tensor::from_flat(vec![1.0]);
-        opt.step(&mut params, &grad).unwrap(); // v=1, p=-1
-        opt.step(&mut params, &grad).unwrap(); // v=1.5, p=-2.5
-        assert!((params.as_slice()[0] + 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        // minimise ½‖θ‖²: gradient is θ itself.
-        let mut opt = Sgd::new(LrSchedule::constant(0.1));
-        let mut theta = Tensor::from_flat(vec![10.0, -5.0]);
-        for _ in 0..200 {
-            let grad = theta.clone();
-            opt.step(&mut theta, &grad).unwrap();
-        }
-        assert!(theta.norm() < 1e-4);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut opt = Sgd::new(LrSchedule::inverse(1.0, 1.0)).with_momentum(0.9);
-        let mut p = Tensor::from_flat(vec![1.0]);
-        let g = Tensor::from_flat(vec![1.0]);
-        opt.step(&mut p, &g).unwrap();
-        opt.reset();
-        assert_eq!(opt.steps_taken(), 0);
-        assert_eq!(opt.current_lr(), 1.0);
     }
 
     #[test]

@@ -455,9 +455,8 @@ impl WorkerPipeline {
             let slice = match &grad {
                 Some(full) if shards == 1 => full.clone(),
                 Some(full) => full
-                    .shard_view(self.plan.range(g))
-                    .expect("plan ranges are in bounds")
-                    .to_tensor(),
+                    .slice(self.plan.range(g))
+                    .expect("plan ranges are in bounds"),
                 // Failed forward/backward: a sentinel the machine swallows.
                 None => Tensor::full(&[self.plan.range(g).len()], f32::NAN),
             };
@@ -554,9 +553,9 @@ fn build_endpoints(cfg: &RuntimeConfig) -> Result<Vec<Box<dyn Transport>>, GuanY
 ///
 /// # Errors
 ///
-/// Returns [`GuanYuError::InvalidConfig`] for invalid configurations and
-/// when the run exceeds `wall_timeout`, [`GuanYuError::Transport`] when
-/// the interconnect cannot be built.
+/// Returns [`GuanYuError::InvalidConfig`] for invalid configurations,
+/// [`GuanYuError::WallTimeout`] when the run exceeds `wall_timeout`, and
+/// [`GuanYuError::Transport`] when the interconnect cannot be built.
 pub fn run_cluster(
     cfg: &RuntimeConfig,
     model_builder: impl Fn(&mut TensorRng) -> Sequential,
@@ -717,10 +716,7 @@ pub fn run_cluster_with(
         .dropped_sends
         .fetch_add(net.dropped, Ordering::Relaxed);
     if timed_out {
-        return Err(GuanYuError::InvalidConfig(format!(
-            "run exceeded wall timeout of {:?}",
-            cfg.wall_timeout
-        )));
+        return Err(GuanYuError::WallTimeout(cfg.wall_timeout));
     }
 
     // Honest logical replica `r`'s full parameter vector is the

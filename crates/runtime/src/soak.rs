@@ -296,9 +296,7 @@ pub fn run_soak_with(
     let (rounds, churn_drops, recoveries, dropped_sends) = counters.snapshot();
     let (timed_out, trace_fingerprint, pool) = match outcome {
         Ok(report) => (false, Some(report.trace.fingerprint()), report.pool),
-        Err(GuanYuError::InvalidConfig(msg)) if msg.contains("wall timeout") => {
-            (true, None, PoolStats::default())
-        }
+        Err(GuanYuError::WallTimeout(_)) => (true, None, PoolStats::default()),
         Err(e) => return Err(e),
     };
     Ok(SoakReport {
@@ -400,6 +398,24 @@ mod tests {
         assert!(!report.timed_out, "churned soak must still make progress");
         assert_eq!(report.rounds, 12);
         assert!(report.churn_drops > 0, "the victim's frames must be cut");
+    }
+
+    #[test]
+    fn a_soak_past_its_wall_timeout_reports_timed_out() {
+        // The timeout is the soak's own verdict, not an error.
+        let cfg = SoakConfig {
+            runtime: RuntimeConfig {
+                cluster: ClusterConfig::with_quorums(3, 0, 4, 0, 3, 4).unwrap(),
+                max_steps: 1_000_000,
+                wall_timeout: Duration::from_millis(300),
+                ..RuntimeConfig::default_for_tests()
+            },
+            churn: None,
+        };
+        let report = run_soak(&cfg, builder, train_data()).unwrap();
+        assert!(report.timed_out);
+        assert_eq!(report.trace_fingerprint, None);
+        assert!(report.rounds < cfg.runtime.max_steps);
     }
 
     #[test]

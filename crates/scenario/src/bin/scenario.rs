@@ -26,6 +26,7 @@ use guanyu_runtime::{
 };
 use nn::models;
 use scenario::check::{assert_deterministic, check_invariants};
+use scenario::cli::{arg, flag};
 use scenario::file::scenario_files;
 use scenario::{seed_from_env, ChaosGen, Engine, ScenarioFile};
 use tensor::TensorRng;
@@ -44,33 +45,6 @@ fn usage() -> ! {
          gen/fuzz seed defaults to $GUANYU_CHAOS_SEED, then 40"
     );
     std::process::exit(2);
-}
-
-/// `--name value` flag lookup over raw args (parsed via `FromStr`): the
-/// default when the flag is absent, an error naming the flag when its value
-/// is missing or does not parse.
-fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    let Some(i) = args.iter().position(|a| a == &format!("--{name}")) else {
-        return Ok(default);
-    };
-    let value = args
-        .get(i + 1)
-        .ok_or_else(|| format!("--{name} needs a value"))?;
-    value
-        .parse()
-        .map_err(|_| format!("--{name}: cannot read `{value}`"))
-}
-
-/// [`parse_arg`]; a bad value prints the error and exits with code 2.
-fn arg<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    parse_arg(args, name, default).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    })
-}
-
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == &format!("--{name}"))
 }
 
 /// Positional (non-flag) operands: everything not starting with `--` and
@@ -410,22 +384,4 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
-        let args: Vec<String> = ["--samples", "1e3", "--seed", "41", "--dir"]
-            .map(String::from)
-            .to_vec();
-        assert_eq!(parse_arg(&args, "seed", 40u64), Ok(41));
-        assert_eq!(parse_arg(&args, "count", 5usize), Ok(5));
-        let bad = parse_arg(&args, "samples", 50usize).unwrap_err();
-        assert!(bad.contains("--samples") && bad.contains("1e3"), "{bad}");
-        let missing = parse_arg(&args, "dir", String::new()).unwrap_err();
-        assert!(missing.contains("--dir"), "{missing}");
-    }
 }

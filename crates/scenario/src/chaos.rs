@@ -31,10 +31,8 @@ use guanyu::faults::FaultKind;
 use serde::{Deserialize, Serialize};
 use tensor::TensorRng;
 
-use crate::check::check_invariants;
-use crate::run::{
-    calibrate_round_secs, run_event_with, run_lockstep, run_threaded, Engine, ScenarioRun,
-};
+use crate::check::{check_invariants, run_pair};
+use crate::run::{Engine, ScenarioRun};
 use crate::scenario::Scenario;
 use crate::shrink::{shrink, ShrinkOutcome};
 
@@ -87,22 +85,6 @@ impl Violation {
     pub fn matches(&self, other: &Violation) -> bool {
         self.kind == other.kind && self.engine == other.engine
     }
-}
-
-/// Runs a scenario twice on one engine (sharing the event calibration) so
-/// determinism can be judged without panicking.
-fn run_pair(scn: &Scenario, engine: Engine) -> guanyu::Result<(ScenarioRun, ScenarioRun)> {
-    Ok(match engine {
-        Engine::Lockstep => (run_lockstep(scn)?, run_lockstep(scn)?),
-        Engine::EventDriven => {
-            let round_secs = calibrate_round_secs(scn)?;
-            (
-                run_event_with(scn, round_secs)?,
-                run_event_with(scn, round_secs)?,
-            )
-        }
-        Engine::Threaded => (run_threaded(scn)?, run_threaded(scn)?),
-    })
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -63,7 +63,24 @@ pub struct InvariantReport {
 /// Panics when the two fingerprints differ — the determinism contract is
 /// broken and nothing downstream can be trusted.
 pub fn assert_deterministic(scn: &Scenario, engine: Engine) -> Result<ScenarioRun> {
-    let (a, b) = match engine {
+    let (a, b) = run_pair(scn, engine)?;
+    assert_eq!(
+        a.trace, b.trace,
+        "{engine} engine: scenario '{}' (seed {}) did not replay bit-identically",
+        scn.name, scn.seed
+    );
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    Ok(a)
+}
+
+/// Runs a scenario twice on one engine, so determinism can be judged by
+/// comparing the two traces.
+///
+/// # Errors
+///
+/// Propagates engine errors.
+pub(crate) fn run_pair(scn: &Scenario, engine: Engine) -> Result<(ScenarioRun, ScenarioRun)> {
+    Ok(match engine {
         Engine::Lockstep => (run_lockstep(scn)?, run_lockstep(scn)?),
         Engine::EventDriven => {
             // Calibration is deterministic: measure once, share across
@@ -75,14 +92,7 @@ pub fn assert_deterministic(scn: &Scenario, engine: Engine) -> Result<ScenarioRu
             )
         }
         Engine::Threaded => (run_threaded(scn)?, run_threaded(scn)?),
-    };
-    assert_eq!(
-        a.trace, b.trace,
-        "{engine} engine: scenario '{}' (seed {}) did not replay bit-identically",
-        scn.name, scn.seed
-    );
-    assert_eq!(a.fingerprint(), b.fingerprint());
-    Ok(a)
+    })
 }
 
 /// Checks the protocol-level invariants on a completed run and returns

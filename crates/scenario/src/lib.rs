@@ -34,16 +34,18 @@
 //! Beyond the fixed matrix, the crate is a *search engine* over the
 //! schedule space (DESIGN.md §8): [`chaos`] samples random in-bounds
 //! scenarios from a seeded ChaCha8 stream and oracles them through both
-//! engines, [`shrink`] delta-debugs any violation down to a minimal
-//! reproducer, and [`file`] serialises reproducers as `.scenario.json`
+//! engines, [`mod@shrink`] delta-debugs any violation down to a minimal
+//! reproducer, and [`mod@file`] serialises reproducers as `.scenario.json`
 //! artifacts that replay forever. The `scenario` CLI binary drives all of
-//! it (`gen` / `run` / `fuzz` / `replay` / `soak`).
+//! it (`gen` / `run` / `fuzz` / `replay` / `soak`), parsing its flags with
+//! [`cli`], as the experiment binaries do.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod chaos;
 pub mod check;
+pub mod cli;
 pub mod file;
 mod run;
 #[allow(clippy::module_inception)]

@@ -104,7 +104,13 @@ impl Scenario {
         self.data.train = 512;
         self.data.test = 128;
         self.model_filters = 4;
-        let scale = |s: u64| s * steps / old_steps;
+        // `u64::MAX` is the open ("always on") end and stays open; the rest
+        // scale in u128 so a long window cannot overflow.
+        let scale = |s: u64| match s {
+            u64::MAX => s,
+            _ => u64::try_from(u128::from(s) * u128::from(steps) / u128::from(old_steps))
+                .unwrap_or(u64::MAX),
+        };
         for w in &mut self.faults.windows {
             w.start = scale(w.start);
             w.end = scale(w.end).max(w.start + 1);
@@ -484,6 +490,17 @@ mod tests {
         );
         // Group [0,1,2,3] plus unlisted server 4 = 5 = q: safe.
         assert_eq!(s.at_risk_servers(), vec![5]);
+    }
+
+    #[test]
+    fn paper_scale_keeps_open_ended_windows_open() {
+        // `u64::MAX` is the "always on" end; rescaling must neither
+        // overflow on it nor shrink the window to one step.
+        let paper = Scenario::baseline("x", 1)
+            .with_fault(2, u64::MAX, FaultKind::WorkerAttack)
+            .at_paper_scale(36);
+        assert_eq!(paper.faults.windows[0].start, 6);
+        assert_eq!(paper.faults.windows[0].end, u64::MAX);
     }
 
     #[test]

@@ -1,21 +1,19 @@
-//! Scripted network-fault injection: partitions, crashes, drops, spikes.
+//! Scripted network-fault injection: crashes, delay spikes, stragglers.
 //!
-//! A [`FaultPlan`] models the *environment* misbehaving — links that
-//! sever, nodes that crash and recover, lossy paths and congestion windows
-//! — and, with the same `Delay` effect on a `From` / `To` scope, the
-//! paper's adversary *slowing* honest traffic ("congest some parts of the
-//! network for some short periods of time", §2). Because GuanYu only ever
-//! waits for quorums, such scheduling degrades throughput but not safety.
-//! The plan decides whether a message survives at all and how much delay
-//! it picks up on top of the physical [`crate::DelayModel`].
+//! A [`FaultPlan`] models the *environment* misbehaving — nodes that crash
+//! and recover, congestion windows, straggling senders — and, with the
+//! same `Delay` effect on a `From` / `To` scope, the paper's adversary
+//! *slowing* honest traffic ("congest some parts of the network for some
+//! short periods of time", §2). Because GuanYu only ever waits for
+//! quorums, such scheduling degrades throughput but not safety. The plan
+//! decides whether a message survives at all and how much delay it picks
+//! up on top of the physical [`crate::DelayModel`].
 //!
 //! Every rule is a time window over a [`LinkScope`]; rule evaluation is a
-//! pure function of `(send time, from, to, sequence number)`, so a seeded
-//! simulation with a fault plan replays bit-identically — the property the
-//! scenario trace checker (`scenario` crate) is built on. Probabilistic
-//! drops hash the message sequence number instead of consuming simulator
-//! RNG draws, which keeps the physical-delay stream identical with and
-//! without the plan.
+//! pure function of `(send time, from, to)` that draws no simulator
+//! randomness, so a seeded simulation with a fault plan replays
+//! bit-identically — the property the scenario trace checker (`scenario`
+//! crate) is built on.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,17 +32,6 @@ pub enum LinkScope {
     /// Messages with this node at either endpoint — the scope of a node
     /// crash (nothing in, nothing out).
     Node(NodeId),
-    /// Messages from `from` to `to` (one directed link).
-    Link {
-        /// Sender side of the link.
-        from: NodeId,
-        /// Receiver side of the link.
-        to: NodeId,
-    },
-    /// Messages crossing between two different groups. Nodes absent from
-    /// every group are unrestricted (they see all sides — e.g. workers
-    /// during a server-only partition).
-    CrossGroup(Vec<Vec<NodeId>>),
 }
 
 impl LinkScope {
@@ -55,14 +42,6 @@ impl LinkScope {
             LinkScope::From(n) => from == *n,
             LinkScope::To(n) => to == *n,
             LinkScope::Node(n) => from == *n || to == *n,
-            LinkScope::Link { from: f, to: t } => from == *f && to == *t,
-            LinkScope::CrossGroup(groups) => {
-                let group_of = |node: NodeId| groups.iter().position(|g| g.contains(&node));
-                match (group_of(from), group_of(to)) {
-                    (Some(a), Some(b)) => a != b,
-                    _ => false,
-                }
-            }
         }
     }
 }
@@ -70,15 +49,8 @@ impl LinkScope {
 /// What happens to a matched message.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultEffect {
-    /// The message is lost (a severed link / crashed endpoint).
+    /// The message is lost (a crashed endpoint).
     Drop,
-    /// The message is lost with probability `p` (lossy path). Decided by a
-    /// deterministic hash of the message's sequence number, so replays are
-    /// exact and the physical-delay RNG stream is untouched.
-    DropProb {
-        /// Loss probability in `[0, 1]`.
-        p: f64,
-    },
     /// The transit time is stretched: `delay * factor + extra_secs`. With a
     /// large `extra_secs` on a subset of links this also *reorders*
     /// deliveries relative to the no-fault run.
@@ -138,19 +110,6 @@ impl FaultPlan {
         self
     }
 
-    /// Convenience: partitions the listed groups from each other during
-    /// `[start, end)`; cross-group messages are dropped. Unlisted nodes
-    /// keep full connectivity.
-    #[must_use]
-    pub fn partition(self, groups: Vec<Vec<NodeId>>, start: SimTime, end: SimTime) -> Self {
-        self.with_rule(FaultRule {
-            scope: LinkScope::CrossGroup(groups),
-            start,
-            end,
-            effect: FaultEffect::Drop,
-        })
-    }
-
     /// Convenience: crashes `node` during `[start, end)` — all its traffic
     /// (both directions) is lost; after `end` the node is reachable again
     /// (crash-recovery with frozen state).
@@ -201,35 +160,20 @@ impl FaultPlan {
     }
 
     /// Judges one message. `sent` is the time the message enters the
-    /// network, `seq` its global sequence number (feeds the deterministic
-    /// probabilistic-drop hash). Matching delay rules compose as
+    /// network. Matching delay rules compose as
     /// `delay · Πfactorᵢ + Σextraᵢ` — independent of rule order, matching
     /// `guanyu::faults::FaultSchedule::delay_stretch` so the same
     /// declarative schedule means the same physics on both engines. Any
-    /// matching `Drop` rule loses the message; each `DropProb` rule rolls
-    /// its own hash (keyed on rule index as well as `seq`), so
-    /// overlapping lossy links compound independently.
-    pub fn judge(
-        &self,
-        sent: SimTime,
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        delay: f64,
-    ) -> FaultVerdict {
+    /// matching `Drop` rule loses the message.
+    pub fn judge(&self, sent: SimTime, from: NodeId, to: NodeId, delay: f64) -> FaultVerdict {
         let mut factor = 1.0;
         let mut extra = 0.0;
-        for (i, rule) in self.rules.iter().enumerate() {
+        for rule in &self.rules {
             if sent < rule.start || sent >= rule.end || !rule.scope.matches(from, to) {
                 continue;
             }
             match rule.effect {
                 FaultEffect::Drop => return FaultVerdict::Drop,
-                FaultEffect::DropProb { p } => {
-                    if unit_hash(seq, i as u64) < p {
-                        return FaultVerdict::Drop;
-                    }
-                }
                 FaultEffect::Delay {
                     factor: f,
                     extra_secs: e,
@@ -245,19 +189,6 @@ impl FaultPlan {
     }
 }
 
-/// Deterministic hash of `(seq, salt)` into `[0, 1)` (splitmix64
-/// finaliser). The salt (rule index) decorrelates overlapping
-/// probabilistic-drop rules.
-fn unit_hash(seq: u64, salt: u64) -> f64 {
-    let mut z = seq
-        .wrapping_add(salt.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +202,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         assert_eq!(
-            plan.judge(T0, NodeId(0), NodeId(1), 7, 0.1),
+            plan.judge(T0, NodeId(0), NodeId(1), 0.1),
             FaultVerdict::Deliver {
                 extra_delay_secs: 0.0
             }
@@ -279,52 +210,22 @@ mod tests {
     }
 
     #[test]
-    fn partition_drops_cross_group_only() {
-        let plan =
-            FaultPlan::none().partition(vec![vec![NodeId(0), NodeId(1)], vec![NodeId(2)]], T0, T1);
-        // cross-group: dropped
-        assert_eq!(
-            plan.judge(T0, NodeId(0), NodeId(2), 0, 0.1),
-            FaultVerdict::Drop
-        );
-        assert_eq!(
-            plan.judge(T0, NodeId(2), NodeId(1), 0, 0.1),
-            FaultVerdict::Drop
-        );
-        // within a group: fine
-        assert!(matches!(
-            plan.judge(T0, NodeId(0), NodeId(1), 0, 0.1),
-            FaultVerdict::Deliver { .. }
-        ));
-        // unlisted node (3): unrestricted in both directions
-        assert!(matches!(
-            plan.judge(T0, NodeId(3), NodeId(0), 0, 0.1),
-            FaultVerdict::Deliver { .. }
-        ));
-        // after heal: delivered
-        assert!(matches!(
-            plan.judge(T1, NodeId(0), NodeId(2), 0, 0.1),
-            FaultVerdict::Deliver { .. }
-        ));
-    }
-
-    #[test]
     fn crash_silences_both_directions_until_recovery() {
         let plan = FaultPlan::none().crash(NodeId(1), T0, T1);
         assert_eq!(
-            plan.judge(T0, NodeId(1), NodeId(0), 0, 0.1),
+            plan.judge(T0, NodeId(1), NodeId(0), 0.1),
             FaultVerdict::Drop
         );
         assert_eq!(
-            plan.judge(T0, NodeId(0), NodeId(1), 0, 0.1),
+            plan.judge(T0, NodeId(0), NodeId(1), 0.1),
             FaultVerdict::Drop
         );
         assert!(matches!(
-            plan.judge(T0, NodeId(0), NodeId(2), 0, 0.1),
+            plan.judge(T0, NodeId(0), NodeId(2), 0.1),
             FaultVerdict::Deliver { .. }
         ));
         assert!(matches!(
-            plan.judge(T1, NodeId(0), NodeId(1), 0, 0.1),
+            plan.judge(T1, NodeId(0), NodeId(1), 0.1),
             FaultVerdict::Deliver { .. }
         ));
     }
@@ -335,7 +236,7 @@ mod tests {
             FaultPlan::none()
                 .delay_spike(10.0, 0.5, T0, T1)
                 .straggler(NodeId(0), 1.0, T0, T2);
-        match plan.judge(T0, NodeId(0), NodeId(1), 0, 0.1) {
+        match plan.judge(T0, NodeId(0), NodeId(1), 0.1) {
             FaultVerdict::Deliver { extra_delay_secs } => {
                 // factors multiply, extras add: 0.1·10 + (0.5 + 1.0) = 2.5
                 // total → 2.4 extra
@@ -349,11 +250,11 @@ mod tests {
             .straggler(NodeId(0), 1.0, T0, T2)
             .delay_spike(10.0, 0.5, T0, T1);
         assert_eq!(
-            plan.judge(T0, NodeId(0), NodeId(1), 0, 0.1),
-            swapped.judge(T0, NodeId(0), NodeId(1), 0, 0.1)
+            plan.judge(T0, NodeId(0), NodeId(1), 0.1),
+            swapped.judge(T0, NodeId(0), NodeId(1), 0.1)
         );
         // outside the spike window only the straggler applies
-        match plan.judge(T1, NodeId(0), NodeId(1), 0, 0.1) {
+        match plan.judge(T1, NodeId(0), NodeId(1), 0.1) {
             FaultVerdict::Deliver { extra_delay_secs } => {
                 assert!((extra_delay_secs - 1.0).abs() < 1e-12);
             }
@@ -362,57 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn probabilistic_drop_is_deterministic_and_calibrated() {
-        let plan = FaultPlan::none().with_rule(FaultRule {
-            scope: LinkScope::All,
-            start: T0,
-            end: SimTime(u64::MAX),
-            effect: FaultEffect::DropProb { p: 0.3 },
-        });
-        let dropped: Vec<bool> = (0..10_000)
-            .map(|seq| plan.judge(T0, NodeId(0), NodeId(1), seq, 0.1) == FaultVerdict::Drop)
-            .collect();
-        let again: Vec<bool> = (0..10_000)
-            .map(|seq| plan.judge(T0, NodeId(0), NodeId(1), seq, 0.1) == FaultVerdict::Drop)
-            .collect();
-        assert_eq!(dropped, again, "drop decisions must replay exactly");
-        let rate = dropped.iter().filter(|&&d| d).count() as f64 / dropped.len() as f64;
-        assert!((rate - 0.3).abs() < 0.02, "drop rate {rate}");
-    }
-
-    #[test]
-    fn overlapping_probabilistic_drops_compound_independently() {
-        // Two p = 0.3 lossy rules on the same link must combine to
-        // 1 − 0.7² = 0.51, not stay at 0.3 (each rule rolls its own hash).
-        let rule = |_: usize| FaultRule {
-            scope: LinkScope::All,
-            start: T0,
-            end: SimTime(u64::MAX),
-            effect: FaultEffect::DropProb { p: 0.3 },
-        };
-        let plan = FaultPlan::none().with_rule(rule(0)).with_rule(rule(1));
-        let n = 20_000;
-        let dropped = (0..n)
-            .filter(|&seq| plan.judge(T0, NodeId(0), NodeId(1), seq, 0.1) == FaultVerdict::Drop)
-            .count();
-        let rate = dropped as f64 / n as f64;
-        assert!((rate - 0.51).abs() < 0.02, "compound drop rate {rate}");
-    }
-
-    #[test]
-    fn link_scope_is_directed() {
-        let scope = LinkScope::Link {
-            from: NodeId(0),
-            to: NodeId(1),
-        };
-        assert!(scope.matches(NodeId(0), NodeId(1)));
-        assert!(!scope.matches(NodeId(1), NodeId(0)));
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let plan = FaultPlan::none()
-            .partition(vec![vec![NodeId(0)], vec![NodeId(1)]], T0, T1)
+            .crash(NodeId(0), T0, T1)
             .delay_spike(2.0, 0.1, T1, T2);
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();

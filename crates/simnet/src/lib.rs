@@ -5,7 +5,9 @@
 //! time it takes for a message between honest nodes to be delivered. The
 //! adversary additionally controls message scheduling within the physical
 //! limits of the network and enjoys an arbitrarily fast covert channel
-//! between the nodes it corrupts.
+//! between the nodes it corrupts (the simulator has no such channel: the
+//! protocol machines carry omniscience as ordinary messages, see
+//! `DESIGN.md` §4).
 //!
 //! This crate simulates that model (substitution S5 in `DESIGN.md` — the
 //! stand-in for the paper's Grid5000 deployment):
@@ -16,13 +18,12 @@
 //! * [`DelayModel`] — pluggable link-delay distributions, including
 //!   [`DelayModel::BandwidthLatency`] (calibrated to model the paper's
 //!   10 Gbps Ethernet) and heavy-tail variants.
-//! * [`FaultPlan`] — the one vocabulary for perturbing links: network
-//!   partitions with heal times, node crash/recovery windows, lossy links,
-//!   and targeted or network-wide delays — the environment misbehaving as
-//!   well as the adversary's (partial) control of message scheduling, e.g.
-//!   congesting chosen links for chosen periods. Evaluated
-//!   deterministically per message, so faulty runs replay bit-identically
-//!   (the scenario layer's foundation).
+//! * [`FaultPlan`] — the one vocabulary for perturbing links: node
+//!   crash/recovery windows and targeted or network-wide delays — the
+//!   environment misbehaving as well as the adversary's (partial) control
+//!   of message scheduling, e.g. congesting chosen links for chosen
+//!   periods. Evaluated deterministically per message, so faulty runs
+//!   replay bit-identically (the scenario layer's foundation).
 //! * [`TrafficStats`] — per-node message/byte counters and delivery traces
 //!   used by the throughput figures.
 //! * [`NetworkModel`] / [`SwitchedConfig`] — an optional switched-topology

@@ -56,9 +56,6 @@ struct Outgoing<M> {
     bytes: usize,
     /// Local processing time before the message leaves the sender.
     after_secs: f64,
-    /// Covert-channel send: zero delay, bypasses the physical model and the
-    /// adversarial schedule.
-    instant: bool,
 }
 
 impl<M> Context<'_, M> {
@@ -84,7 +81,6 @@ impl<M> Context<'_, M> {
             msg,
             bytes,
             after_secs: 0.0,
-            instant: false,
         });
     }
 
@@ -96,20 +92,6 @@ impl<M> Context<'_, M> {
             msg,
             bytes,
             after_secs,
-            instant: false,
-        });
-    }
-
-    /// Covert-channel send between colluding Byzantine nodes: delivered
-    /// with zero delay, invisible to the physical delay model and to the
-    /// [`FaultPlan`] (the adversary does not throttle itself).
-    pub fn send_instant(&mut self, to: NodeId, msg: M) {
-        self.outbox.push(Outgoing {
-            to,
-            msg,
-            bytes: 0,
-            after_secs: 0.0,
-            instant: true,
         });
     }
 
@@ -135,7 +117,7 @@ struct Packet<M> {
     attempt: u32,
     /// Index into the route: which link the packet is about to enter.
     hop: usize,
-    /// Fault-plan + adversarial extra latency, applied once at delivery.
+    /// Fault-plan extra latency, applied once at delivery.
     extra_secs: f64,
     msg: M,
 }
@@ -207,8 +189,6 @@ pub struct Simulator<M> {
     delay: DelayModel,
     faults: FaultPlan,
     stats: TrafficStats,
-    deadline: Option<SimTime>,
-    max_events: Option<u64>,
     switched: Option<SwitchedNet>,
 }
 
@@ -224,25 +204,21 @@ impl<M> Simulator<M> {
             delay,
             faults: FaultPlan::none(),
             stats: TrafficStats::new(0, false),
-            deadline: None,
-            max_events: None,
             switched: None,
         }
     }
 
     /// Installs a scripted [`FaultPlan`] (builder style). The plan judges
-    /// every non-covert message at send time: dropped messages never enter
-    /// the event queue (counted in `TrafficStats::messages_dropped`);
-    /// delayed ones pick up the matching rules' delay. Covert sends
-    /// ([`Context::send_instant`]) bypass the plan — the adversary's own
-    /// network neither fails nor throttles itself.
+    /// every message at send time: dropped messages never enter the event
+    /// queue (counted in `TrafficStats::messages_dropped`); delayed ones
+    /// pick up the matching rules' delay.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
     }
 
-    /// Routes all non-covert traffic through a switched fabric instead of
+    /// Routes all traffic through a switched fabric instead of
     /// sampling independent per-message delays (builder style): messages
     /// traverse finite-bandwidth links hop by hop, contend in drop-tail
     /// queues, and queue-overflow losses are retried go-back-n style until
@@ -253,9 +229,7 @@ impl<M> Simulator<M> {
     /// consulted for transit times (transit is a pure function of link
     /// state), a [`FaultPlan`] judges each message once at first departure
     /// with its `extra_delay_secs` added to final delivery (delay
-    /// *factors* have nothing to scale and are inert), and the adversarial
-    /// schedule likewise contributes only additive extras. Covert sends
-    /// still bypass everything.
+    /// *factors* have nothing to scale and are inert).
     ///
     /// A single message larger than `cfg.queue_bytes` can never be
     /// admitted to a link; size queues to hold at least one full message.
@@ -269,21 +243,6 @@ impl<M> Simulator<M> {
     #[must_use]
     pub fn with_tracing(mut self) -> Self {
         self.stats.tracing = true;
-        self
-    }
-
-    /// Stops the run when simulated time reaches `t` (events after `t` stay
-    /// queued).
-    #[must_use]
-    pub fn with_deadline(mut self, t: SimTime) -> Self {
-        self.deadline = Some(t);
-        self
-    }
-
-    /// Stops the run after delivering `n` events.
-    #[must_use]
-    pub fn with_max_events(mut self, n: u64) -> Self {
-        self.max_events = Some(n);
         self
     }
 
@@ -322,22 +281,6 @@ impl<M> Simulator<M> {
 
     fn schedule(&mut self, from: NodeId, out: Outgoing<M>) {
         let depart = self.now.after_secs(out.after_secs);
-        if out.instant {
-            self.stats.on_send(from, out.bytes);
-            let seq = self.next_seq();
-            self.queue.push(Reverse(Event {
-                at: depart,
-                seq,
-                kind: EventKind::Deliver {
-                    from,
-                    to: out.to,
-                    bytes: out.bytes,
-                    sent: depart,
-                    msg: out.msg,
-                },
-            }));
-            return;
-        }
         if self.switched.is_some() {
             self.schedule_switched(from, out, depart);
             return;
@@ -346,11 +289,10 @@ impl<M> Simulator<M> {
         // identical with and without a fault plan), then the plan acts
         // on it.
         let physical = self.delay.sample(out.bytes, &mut self.rng);
-        let transit = match self.faults.judge(depart, from, out.to, self.seq, physical) {
+        let transit = match self.faults.judge(depart, from, out.to, physical) {
             FaultVerdict::Drop => {
                 self.stats.on_send(from, out.bytes);
                 self.stats.on_drop();
-                self.seq += 1;
                 return;
             }
             FaultVerdict::Deliver { extra_delay_secs } => physical + extra_delay_secs,
@@ -375,13 +317,12 @@ impl<M> Simulator<M> {
     /// go-back-n sequence number and launch the packet at its first hop.
     fn schedule_switched(&mut self, from: NodeId, out: Outgoing<M>, depart: SimTime) {
         self.stats.on_send(from, out.bytes);
-        // Judged with zero base delay: scripted drops (crashes, partitions)
-        // are permanent — the transport gives up immediately rather than
+        // Judged with zero base delay: scripted drops (crashes) are
+        // permanent — the transport gives up immediately rather than
         // retrying into a dead endpoint — and extras ride on delivery.
-        let extra = match self.faults.judge(depart, from, out.to, self.seq, 0.0) {
+        let extra = match self.faults.judge(depart, from, out.to, 0.0) {
             FaultVerdict::Drop => {
                 self.stats.on_drop();
-                self.seq += 1;
                 return;
             }
             FaultVerdict::Deliver { extra_delay_secs } => extra_delay_secs,
@@ -389,7 +330,6 @@ impl<M> Simulator<M> {
         if out.to.0 >= self.nodes.len() {
             // No such host in the topology; mirrors the base path, where a
             // message to an unknown node is skipped at delivery time.
-            self.seq += 1;
             return;
         }
         let net = self.switched.as_mut().expect("switched mode");
@@ -545,8 +485,7 @@ impl<M> Simulator<M> {
     }
 
     /// Runs to completion: calls every node's `on_start`, then delivers
-    /// events in timestamp order until the queue empties, a node halts, the
-    /// deadline passes, or the event budget is exhausted.
+    /// events in timestamp order until the queue empties or a node halts.
     ///
     /// Returns the number of delivered messages.
     pub fn run(&mut self) -> u64 {
@@ -561,12 +500,6 @@ impl<M> Simulator<M> {
         }
         let mut delivered = 0u64;
         while let Some(Reverse(ev)) = self.queue.pop() {
-            if let Some(deadline) = self.deadline {
-                if ev.at > deadline {
-                    self.queue.push(Reverse(ev));
-                    break;
-                }
-            }
             self.now = ev.at;
             match ev.kind {
                 EventKind::Hop(pkt) => self.hop(pkt),
@@ -588,14 +521,8 @@ impl<M> Simulator<M> {
                         delivered: ev.at,
                     });
                     delivered += 1;
-                    let halted = self.activate(to, |node, ctx| node.on_message(from, msg, ctx));
-                    if halted {
+                    if self.activate(to, |node, ctx| node.on_message(from, msg, ctx)) {
                         break;
-                    }
-                    if let Some(max) = self.max_events {
-                        if delivered >= max {
-                            break;
-                        }
                     }
                 }
             }
@@ -691,36 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_stops_early() {
-        let mut sim = Simulator::new(1, DelayModel::Fixed { seconds: 1.0 })
-            .with_deadline(SimTime::from_secs_f64(2.5));
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 100,
-        }));
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 100,
-        }));
-        let delivered = sim.run();
-        assert_eq!(delivered, 2, "only events at t=1 and t=2 fit");
-    }
-
-    #[test]
-    fn max_events_budget() {
-        let mut sim = Simulator::new(1, DelayModel::Fixed { seconds: 0.001 }).with_max_events(3);
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 100,
-        }));
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 100,
-        }));
-        assert_eq!(sim.run(), 3);
-    }
-
-    #[test]
     fn halt_stops_simulation() {
         struct Halter;
         impl SimNode<u8> for Halter {
@@ -739,54 +636,6 @@ mod tests {
         sim.add_node(Box::new(Halter));
         sim.add_node(Box::new(Halter));
         assert_eq!(sim.run(), 1);
-    }
-
-    #[test]
-    fn instant_sends_beat_physical_messages() {
-        // Node 0 sends a physical message to 2 at t0, node 1 covertly to 2.
-        // The covert message must arrive first despite being sent at the
-        // same instant.
-        struct Sender {
-            covert: bool,
-        }
-        struct Receiver {
-            order: Vec<NodeId>,
-        }
-        enum Msg {
-            Payload,
-        }
-        impl SimNode<Msg> for Sender {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                if self.covert {
-                    ctx.send_instant(NodeId(2), Msg::Payload);
-                } else {
-                    ctx.send(NodeId(2), Msg::Payload, 1000);
-                }
-            }
-            fn on_message(&mut self, _f: NodeId, _m: Msg, _c: &mut Context<'_, Msg>) {}
-        }
-        impl SimNode<Msg> for Receiver {
-            fn on_message(&mut self, from: NodeId, _m: Msg, _c: &mut Context<'_, Msg>) {
-                self.order.push(from);
-            }
-        }
-        let mut sim = Simulator::new(3, DelayModel::Fixed { seconds: 0.5 });
-        sim.add_node(Box::new(Sender { covert: false })); // node 0
-        sim.add_node(Box::new(Sender { covert: true })); // node 1
-        sim.add_node(Box::new(Receiver { order: Vec::new() }));
-        sim.run();
-        // We can't easily read the receiver back without downcasting;
-        // check via trace instead.
-        let mut sim = Simulator::new(3, DelayModel::Fixed { seconds: 0.5 }).with_tracing();
-        sim.add_node(Box::new(Sender { covert: false }));
-        sim.add_node(Box::new(Sender { covert: true }));
-        sim.add_node(Box::new(Receiver { order: Vec::new() }));
-        sim.run();
-        let trace = &sim.stats().trace;
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].from, NodeId(1), "covert message first");
-        assert_eq!(trace[0].latency_secs(), 0.0);
-        assert_eq!(trace[1].from, NodeId(0));
     }
 
     #[test]
@@ -846,37 +695,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_drops_partitioned_traffic_then_heals() {
-        use crate::fault::FaultPlan;
-        // Nodes 0 and 1 ping-pong; a partition separates them for the
-        // first 5 simulated seconds. Node 0's opening send is lost, so
-        // nothing ever flows (ping-pong has no retransmission)...
-        let plan = FaultPlan::none().partition(
-            vec![vec![NodeId(0)], vec![NodeId(1)]],
-            SimTime::ZERO,
-            SimTime::from_secs_f64(5.0),
-        );
-        let mut sim =
-            Simulator::new(1, DelayModel::Fixed { seconds: 0.01 }).with_faults(plan.clone());
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 3,
-        }));
-        sim.add_node(Box::new(Counter {
-            received: 0,
-            hops: 3,
-        }));
-        assert_eq!(sim.run(), 0);
-        assert_eq!(sim.stats().messages_dropped, 1);
-        assert_eq!(sim.stats().messages_sent, 1, "drops still count as sent");
-
-        // ...whereas a fault window that never matches leaves the run
-        // untouched and bit-identical to the unfaulted one.
-        let inert = FaultPlan::none().partition(
-            vec![vec![NodeId(7)], vec![NodeId(8)]],
-            SimTime::ZERO,
-            SimTime::from_secs_f64(5.0),
-        );
+    fn inert_fault_plan_leaves_the_run_bit_identical() {
+        // A fault window that never matches leaves the run untouched and
+        // bit-identical to the unfaulted one: judging a message draws no
+        // simulator randomness.
+        let inert = FaultPlan::none().crash(NodeId(7), SimTime::ZERO, SimTime::from_secs_f64(5.0));
         let run = |plan: FaultPlan| {
             let mut sim = Simulator::new(1, DelayModel::Exponential { mean: 0.01 })
                 .with_faults(plan)
@@ -1110,25 +933,5 @@ mod tests {
         assert_eq!(sim.run(), 0);
         assert_eq!(sim.stats().messages_dropped, 1);
         assert_eq!(sim.stats().retransmits, 0);
-    }
-
-    #[test]
-    fn switched_instant_sends_still_bypass_fabric() {
-        struct Covert;
-        impl SimNode<()> for Covert {
-            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                if ctx.me() == NodeId(0) {
-                    ctx.send_instant(NodeId(1), ());
-                }
-            }
-            fn on_message(&mut self, _f: NodeId, _m: (), _c: &mut Context<'_, ()>) {}
-        }
-        let mut sim = Simulator::new(1, DelayModel::Fixed { seconds: 0.01 })
-            .with_switched(switched_cfg())
-            .with_tracing();
-        sim.add_node(Box::new(Covert));
-        sim.add_node(Box::new(Covert));
-        assert_eq!(sim.run(), 1);
-        assert_eq!(sim.stats().trace[0].latency_secs(), 0.0);
     }
 }

@@ -49,14 +49,14 @@ pub enum TensorError {
         /// The tensor's shape.
         shape: Vec<usize>,
     },
-    /// A shard range does not fit the flat storage, or a shard set does not
-    /// tile `0..len` contiguously (see [`crate::TensorShard`]).
+    /// A coordinate range does not fit the flat storage (see
+    /// [`crate::Tensor::slice`]).
     InvalidShard {
         /// Start of the offending coordinate range.
         start: usize,
         /// End (exclusive) of the offending coordinate range.
         end: usize,
-        /// Length of the flat storage the range must fit or tile.
+        /// Length of the flat storage the range must fit.
         len: usize,
     },
 }

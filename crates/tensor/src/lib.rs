@@ -5,7 +5,10 @@
 //!
 //! * [`Shape`] — a small owned dimension list with stride computation,
 //! * [`Tensor`] — a dense, row-major `f32` tensor,
-//! * element-wise and scalar arithmetic, matrix multiplication, reductions,
+//! * element-wise and scalar arithmetic, matrix multiplication
+//!   ([`gemm_into`] is the allocation-free kernel under the `nn` layers),
+//!   reductions, and [`Tensor::slice`] — the copy that cuts one shard
+//!   group's coordinate range out of a parameter vector,
 //! * vector geometry helpers ([`Tensor::dot`], [`Tensor::norm`],
 //!   [`Tensor::distance`], [`Tensor::cosine_similarity`]) used by the robust
 //!   aggregation rules,
@@ -32,7 +35,6 @@ mod error;
 mod ops;
 mod random;
 mod shape;
-mod shard;
 #[allow(clippy::module_inception)]
 mod tensor;
 
@@ -40,7 +42,6 @@ pub use error::TensorError;
 pub use ops::gemm_into;
 pub use random::TensorRng;
 pub use shape::Shape;
-pub use shard::TensorShard;
 pub use tensor::Tensor;
 
 /// Convenience alias: results of fallible tensor operations.

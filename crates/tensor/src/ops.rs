@@ -16,7 +16,7 @@ const TILE: usize = 32;
 /// the sum. With `accumulate` the finished sum is added to `out[i][j]`
 /// once, so `grad += x · y` keeps its sum-then-add order.
 ///
-/// A row of `out` is produced in register tiles of [`TILE`] columns, then
+/// A row of `out` is produced in register tiles of `TILE` (32) columns, then
 /// fixed sub-tiles of 16, 8, 4 and 1 for the remainder, so the accumulators
 /// never round-trip through memory and a tile's lanes vectorise. The skip
 /// is decided once per row of `a`, not once per value and tile: a row

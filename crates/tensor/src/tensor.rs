@@ -1,5 +1,6 @@
 //! The dense tensor type and its core arithmetic.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{Result, Shape, TensorError};
@@ -136,17 +137,22 @@ impl Tensor {
         &self.data
     }
 
-    /// A handle on the shared storage (refcount bump, no copy) — the shard
-    /// views in [`crate::shard`] are built from this.
-    pub(crate) fn storage(&self) -> Arc<[f32]> {
-        Arc::clone(&self.data)
-    }
-
-    /// Wraps an already-shared buffer as a rank-1 tensor without copying —
-    /// the zero-copy merge path in [`crate::shard`].
-    pub(crate) fn from_shared(data: Arc<[f32]>) -> Self {
-        let shape = Shape::new(&[data.len()]);
-        Tensor { shape, data }
+    /// An owned rank-1 copy of coordinates `range` of the flat buffer — how
+    /// one shard group's slice of a parameter vector or gradient is cut.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidShard`] if the range does not fit the
+    /// buffer (`start > end` or `end > len`).
+    pub fn slice(&self, range: Range<usize>) -> Result<Tensor> {
+        match self.data.get(range.clone()) {
+            Some(coords) => Ok(Tensor::from_flat(coords.to_vec())),
+            None => Err(TensorError::InvalidShard {
+                start: range.start,
+                end: range.end,
+                len: self.len(),
+            }),
+        }
     }
 
     /// Mutable view of the flat row-major buffer.
@@ -491,6 +497,25 @@ mod tests {
     fn flatten_rank() {
         let a = Tensor::zeros(&[2, 3, 4]);
         assert_eq!(a.flatten().dims(), &[24]);
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)] // the inversion is the point
+    fn slice_copies_a_range_and_rejects_one_that_does_not_fit() {
+        let a = Tensor::from_flat(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let s = a.slice(2..5).unwrap();
+        assert_eq!((s.dims(), s.as_slice()), (&[3][..], &[3.0, 4.0, 5.0][..]));
+        assert!(!s.shares_storage(&a), "a slice is an owned copy");
+        assert_eq!(a.slice(6..6).unwrap().len(), 0);
+        assert_eq!(
+            a.slice(2..7),
+            Err(TensorError::InvalidShard {
+                start: 2,
+                end: 7,
+                len: 6
+            })
+        );
+        assert!(a.slice(4..2).is_err());
     }
 
     #[test]
