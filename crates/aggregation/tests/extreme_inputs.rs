@@ -23,6 +23,19 @@ fn overflow_cluster() -> Vec<Tensor> {
 }
 
 #[test]
+fn krum_survives_score_overflow() {
+    // Krum's single pick is the lowest-scoring input: the head of the
+    // Multi-Krum selection, which `select_smallest` returns in score order.
+    let xs = overflow_cluster();
+    let selection = MultiKrum::new(1)
+        .unwrap()
+        .selection(&xs)
+        .expect("no panic, no error");
+    // The winner must be one of the honest inputs.
+    assert!(selection[0] < 6, "selection: {selection:?}");
+}
+
+#[test]
 fn multikrum_selection_excludes_overflow_outlier() {
     let xs = overflow_cluster();
     let mk = MultiKrum::new(1).unwrap();

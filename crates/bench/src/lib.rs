@@ -71,6 +71,38 @@ pub fn print_time_to_accuracy(results: &[RunResult], target: f32) {
 mod tests {
     use super::*;
     use guanyu::metrics::TrainingRecord;
+    use scenario::cli::{arg, flag, parse_arg};
+
+    // The experiment binaries read their flags from `std::env::args` with
+    // `scenario::cli`; these tests pin the flags they share.
+
+    #[test]
+    fn arg_falls_back_to_default() {
+        let args: Vec<String> = std::env::args().collect();
+        assert_eq!(arg(&args, "definitely-not-passed", 42usize), 42);
+    }
+
+    #[test]
+    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
+        let args: Vec<String> = [
+            "bin",
+            "--steps",
+            "4o0",
+            "--seed",
+            "9",
+            "--quick",
+            "--samples",
+        ]
+        .map(String::from)
+        .to_vec();
+        assert_eq!(parse_arg(&args, "seed", 1u64), Ok(9));
+        assert_eq!(parse_arg(&args, "batch", 32usize), Ok(32));
+        let bad = parse_arg(&args, "steps", 150u64).unwrap_err();
+        assert!(bad.contains("--steps") && bad.contains("4o0"), "{bad}");
+        let missing = parse_arg(&args, "samples", 50usize).unwrap_err();
+        assert!(missing.contains("--samples"), "{missing}");
+        assert!(flag(&args, "quick") && !flag(&args, "tiny"));
+    }
 
     #[test]
     fn printing_does_not_panic() {

@@ -115,6 +115,7 @@ impl ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::{Tensor, TensorError};
 
     #[test]
     fn even_plan_spreads_remainder_over_first_shards() {
@@ -159,5 +160,57 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: ShardPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
+    }
+
+    // A group's slice of a parameter vector is `Tensor::slice(plan.range(g))`
+    // (plant.rs, node.rs); the tests below pin that seam.
+
+    fn params(d: usize) -> Tensor {
+        Tensor::from_flat((0..d).map(|i| i as f32 * 0.5 - 3.0).collect())
+    }
+
+    #[test]
+    fn out_of_range_view_is_rejected() {
+        // A plan for 6 coordinates applied to a 4-coordinate vector.
+        let plan = ShardPlan::from_bounds(6, vec![2, 6]).unwrap();
+        let t = params(4);
+        assert_eq!(t.slice(plan.range(0)).unwrap().len(), 2);
+        assert_eq!(
+            t.slice(plan.range(1)),
+            Err(TensorError::InvalidShard {
+                start: 2,
+                end: 6,
+                len: 4
+            })
+        );
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)] // the inversion is the point
+    fn inverted_and_gapped_ranges_are_rejected() {
+        assert!(params(6).slice(4..2).is_err());
+        // Inverted bounds, and bounds leaving the tail 4..6 unowned.
+        assert!(ShardPlan::from_bounds(6, vec![4, 2, 6]).is_err());
+        assert!(ShardPlan::from_bounds(6, vec![2, 4]).is_err());
+    }
+
+    #[test]
+    fn one_coordinate_shards_round_trip() {
+        let t = params(5);
+        let plan = ShardPlan::even(5, 5).unwrap();
+        let merged: Vec<f32> = plan
+            .ranges()
+            .flat_map(|r| t.slice(r).unwrap().into_vec())
+            .collect();
+        assert_eq!(merged, t.as_slice());
+    }
+
+    #[test]
+    fn to_tensor_copies_values() {
+        let t = params(6);
+        let plan = ShardPlan::from_bounds(6, vec![2, 5, 6]).unwrap();
+        let owned = t.slice(plan.range(1)).unwrap();
+        assert_eq!(owned.as_slice(), &t.as_slice()[2..5]);
+        assert!(!t.shares_storage(&owned));
     }
 }

@@ -385,3 +385,24 @@ fn main() {
     };
     std::process::exit(code);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scenario::cli::parse_arg;
+
+    #[test]
+    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
+        let args: Vec<String> = ["--samples", "1e3", "--seed", "41", "--tiny", "--dir"]
+            .map(String::from)
+            .to_vec();
+        assert_eq!(parse_arg(&args, "seed", 40u64), Ok(41));
+        assert_eq!(parse_arg(&args, "count", 5usize), Ok(5));
+        assert_eq!(arg(&args, "count", 5usize), 5);
+        let bad = parse_arg(&args, "samples", 50usize).unwrap_err();
+        assert!(bad.contains("--samples") && bad.contains("1e3"), "{bad}");
+        let missing = parse_arg(&args, "dir", String::new()).unwrap_err();
+        assert!(missing.contains("--dir"), "{missing}");
+        assert!(flag(&args, "tiny") && !flag(&args, "quick"));
+    }
+}

@@ -1,11 +1,16 @@
 //! Command-line flags, parsed one way for the `scenario` binary and the
 //! experiment binaries of `guanyu-bench`: `--name value` pairs and bare
-//! `--name` switches; unknown flags are ignored.
+//! `--name` switches; unknown flags are ignored. Each binary crate tests the
+//! flags it reads against [`parse_arg`].
 
 use std::str::FromStr;
 
 /// [`arg`] with the error returned: the message names the flag.
-fn parse_arg<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+///
+/// # Errors
+///
+/// `--name` is present but its value is missing or does not parse as `T`.
+pub fn parse_arg<T: FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     let Some(i) = args.iter().position(|a| a == &format!("--{name}")) else {
         return Ok(default);
     };
@@ -31,24 +36,4 @@ pub fn arg<T: FromStr>(args: &[String], name: &str, default: T) -> T {
 /// Whether the bare switch `--name` is present.
 pub fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == &format!("--{name}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_present_flag_with_a_bad_value_is_an_error_naming_it() {
-        let args: Vec<String> = ["--steps", "4o0", "--seed", "9", "--quick", "--samples"]
-            .map(String::from)
-            .to_vec();
-        assert_eq!(parse_arg(&args, "seed", 1u64), Ok(9));
-        assert_eq!(parse_arg(&args, "batch", 32usize), Ok(32));
-        assert_eq!(arg(&args, "batch", 32usize), 32);
-        let bad = parse_arg(&args, "steps", 150u64).unwrap_err();
-        assert!(bad.contains("--steps") && bad.contains("4o0"), "{bad}");
-        let missing = parse_arg(&args, "samples", 50usize).unwrap_err();
-        assert!(missing.contains("--samples"), "{missing}");
-        assert!(flag(&args, "quick") && !flag(&args, "tiny"));
-    }
 }
