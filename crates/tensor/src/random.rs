@@ -338,6 +338,132 @@ mod tests {
         let _ = r.sample_indices(3, 4);
     }
 
+    /// A generator of `seed` with `words` 32-bit words already drawn.
+    fn entered_at(seed: u64, words: usize) -> TensorRng {
+        let mut r = TensorRng::new(seed);
+        for _ in 0..words {
+            r.rng.next_u32();
+        }
+        r
+    }
+
+    fn words(r: &mut TensorRng, n: usize) -> Vec<u64> {
+        (0..n).map(|_| r.next_u64()).collect()
+    }
+
+    /// Known answers: every seed in the repository's goldens and attack
+    /// fingerprints flows through these words.
+    #[test]
+    fn chacha_stream_matches_its_known_answers() {
+        assert_eq!(
+            words(&mut TensorRng::new(0), 8),
+            [
+                0xbf94_d133_2d8e_e5e8,
+                0x3a73_8775_a6da_5a01,
+                0x3d46_ff10_c143_ee06,
+                0x17c6_ab23_e9f6_424f,
+                0x5ce2_479b_2fb6_898b,
+                0x0ae8_099f_86bf_f662,
+                0x5f2f_09fd_c72f_90bd,
+                0x95d5_3efa_28e5_a01f,
+            ]
+        );
+        assert_eq!(
+            words(&mut TensorRng::new(7), 8),
+            [
+                0x6686_d7a0_5082_5212,
+                0xc63a_5f92_9db4_1d41,
+                0x81e7_7dd0_e54a_caef,
+                0x112b_2c0d_2451_b109,
+                0x88c0_87ca_4fdc_0bfc,
+                0x3e15_afb0_c126_42c0,
+                0xa752_b476_351f_857a,
+                0xbdb5_1629_72ae_3ab2,
+            ]
+        );
+        assert_eq!(
+            words(&mut TensorRng::new(7).fork(3), 4),
+            [
+                0x03b7_8fac_2354_ae91,
+                0xb80e_4008_211a_def9,
+                0x4192_e0fa_f65d_5d53,
+                0x3212_2891_c9b0_ca35,
+            ]
+        );
+    }
+
+    /// Known answers for the normal draw entered at the start of a ChaCha
+    /// block, one word in, and on its last word (the first draw straddles
+    /// two blocks), with the word that follows each.
+    #[test]
+    fn normal_tensor_matches_its_known_answers() {
+        let cases: [(usize, [u32; 5], u64); 3] = [
+            (
+                0,
+                [
+                    0x4094_70f5,
+                    0xc18d_eb9a,
+                    0xc200_8072,
+                    0xc155_8dfd,
+                    0xc227_ff36,
+                ],
+                0x873b_f881_6ac3_58d2,
+            ),
+            (
+                1,
+                [
+                    0x4199_3a80,
+                    0xc1e4_6da2,
+                    0x4192_dc75,
+                    0xbffe_5406,
+                    0xc186_57d8,
+                ],
+                0xe673_4d9f_873b_f881,
+            ),
+            (
+                15,
+                [
+                    0xc1c2_6722,
+                    0x41af_590b,
+                    0xc18e_bd7f,
+                    0x3fd3_40b2,
+                    0xc12c_aaca,
+                ],
+                0xd495_7767_9438_6077,
+            ),
+        ];
+        for (offset, bits, next) in cases {
+            let mut r = entered_at(11, offset);
+            let t = r.normal_tensor(&[5], 0.5, 20.0);
+            let got: Vec<u32> = t.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits, "entered at word {offset}");
+            assert_eq!(r.next_u64(), next, "entered at word {offset}");
+        }
+    }
+
+    /// `normal_tensor` is `normal` in a loop: the same bits, and the
+    /// stream left where the loop leaves it (an attacker that keeps its
+    /// generator across forges depends on that position).
+    #[test]
+    fn normal_tensor_is_a_loop_of_normal() {
+        for len in [0, 1, 63, 64, 65, 864, 1001] {
+            for offset in [0, 1, 2, 7, 15] {
+                for (seed, mean, std) in [(3, 0.0, 1.0), (41, 0.5, 20.0), (99, -2.0, 1e-3)] {
+                    let what = format!("len {len}, word {offset}, seed {seed}");
+                    let mut chunked = entered_at(seed, offset);
+                    let mut looped = entered_at(seed, offset);
+                    let t = chunked.normal_tensor(&[len], mean, std);
+                    let want: Vec<u32> = (0..len)
+                        .map(|_| looped.normal(mean, std).to_bits())
+                        .collect();
+                    let got: Vec<u32> = t.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(chunked.next_u64(), looped.next_u64(), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn below_bounds() {
         let mut r = TensorRng::new(3);
