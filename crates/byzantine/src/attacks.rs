@@ -142,8 +142,11 @@ impl Attack for Equivocate {
         let mut rng = TensorRng::new(
             self.seed ^ view.step.wrapping_mul(0x9E37_79B9) ^ (view.receiver as u64) << 32,
         );
-        let noise = rng.normal_tensor(&[view.dim()], 0.0, self.scale);
-        Some(view.honest_mean().add(&noise).expect("same dims"))
+        let mut forged = view.honest_mean();
+        forged
+            .add_assign(&rng.normal_tensor(&[view.dim()], 0.0, self.scale))
+            .expect("same dims");
+        Some(forged)
     }
 }
 

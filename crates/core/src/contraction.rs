@@ -8,8 +8,8 @@
 //! the largest norms, and reports the cosine of the angle between them —
 //! consistently close to 1.
 //!
-//! [`alignment_snapshot`] reproduces exactly that measurement; the
-//! `table2` bench bin prints the paper's table from a real GuanYu run.
+//! [`alignment_snapshot`] reproduces exactly that measurement; `repro
+//! table2` prints the paper's table from a real GuanYu run.
 
 use serde::{Deserialize, Serialize};
 use tensor::Tensor;

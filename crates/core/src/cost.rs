@@ -8,7 +8,7 @@
 //! that, at the paper's scale (d = 1.75M parameters, batch 128, 18 workers,
 //! 10 Gbps links), the per-step cost ratio of
 //! `vanilla TF : vanilla GuanYu : Byzantine GuanYu` lands near the paper's
-//! `1 : 1.65 : 1.65·1.33` (see EXPERIMENTS.md for measured values).
+//! `1 : 1.65 : 1.65·1.33` (`repro overhead` prints the measured values).
 
 use serde::{Deserialize, Serialize};
 

@@ -78,7 +78,7 @@ pub struct ExperimentConfig {
     /// Disable the inter-server model exchange (ablation).
     pub disable_exchange: bool,
     /// How the training data is spread across workers (the paper assumes
-    /// [`Partition::Iid`]; see the `noniid` bin for the stress test).
+    /// [`Partition::Iid`]; see `repro noniid` for the stress test).
     pub partition: Partition,
 }
 

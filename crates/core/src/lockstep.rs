@@ -68,7 +68,7 @@ pub struct LockstepConfig {
     /// trust the single server (vanilla).
     pub robust_worker_fold: bool,
     /// Whether the inter-server model-exchange phase runs (GuanYu yes;
-    /// ablation `ablate_exchange` turns it off).
+    /// `repro ablate_exchange` turns it off).
     pub exchange_enabled: bool,
     /// Number of *actually* Byzantine workers (≤ declared `byz_workers`).
     pub actual_byz_workers: usize,
@@ -87,7 +87,7 @@ pub struct LockstepConfig {
     pub alignment_every: u64,
     /// How the training set is distributed across honest workers. The
     /// paper's setting is [`Partition::Iid`]; the non-IID variants stress
-    /// the proof's assumption 3 (see the `noniid` experiment binary).
+    /// the proof's assumption 3 (see `repro noniid`).
     pub partition: Partition,
     /// Round-indexed fault schedule: crash/recovery, server partitions,
     /// delay spikes, straggler bursts, attack onset/offset windows

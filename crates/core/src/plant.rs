@@ -125,7 +125,7 @@ impl GradientSource {
         let (x, labels) = self.batcher.next_batch(&self.data)?;
         let logits = self.model.forward(&x, true)?;
         let (_, dlogits) = softmax_cross_entropy(&logits, &labels)?;
-        self.model.backward(&dlogits)?;
+        self.model.backward_params(&dlogits)?;
         Ok(self.model.grad_vector())
     }
 }

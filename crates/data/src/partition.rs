@@ -4,7 +4,7 @@
 //! Real federations are heterogeneous, so this module also provides
 //! label-skewed partitions — a Dirichlet mixture (the standard federated-
 //! learning benchmark protocol) and hard class shards — used by the
-//! `noniid` experiment to probe how GuanYu's Multi-Krum behaves when
+//! `repro noniid` table to probe how GuanYu's Multi-Krum behaves when
 //! *honest* gradients disagree.
 
 use tensor::TensorRng;

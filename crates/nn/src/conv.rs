@@ -230,6 +230,65 @@ impl Conv2d {
         }
         Ok((input.dims()[0], input.dims()[2], input.dims()[3]))
     }
+
+    /// The backward pass: accumulates `dW` and `db` sample by sample and,
+    /// when `want_dx`, returns `dx`; without it, `Wᵀ`, the `dcols = Wᵀ·dy`
+    /// products, `col2im` and `dx` itself are skipped.
+    fn backward_pass(&mut self, grad_out: &Tensor, want_dx: bool) -> Result<Option<Tensor>> {
+        let input = self
+            .cached_input
+            .clone()
+            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
+        let (batch, h, w) = self.check_input(&input)?;
+        let g = self.geometry(h, w);
+        let oc = self.out_channels;
+        if grad_out.dims() != [batch, oc, g.oh, g.ow] {
+            return Err(NnError::BadInputShape {
+                layer: self.name(),
+                expected: format!("[{batch}, {oc}, {}, {}] gradient", g.oh, g.ow),
+                got: grad_out.dims().to_vec(),
+            });
+        }
+        let ckk = self.in_channels * self.kernel * self.kernel;
+        let n_cols = g.oh * g.ow;
+        let chw = self.in_channels * h * w;
+        let mut patches = Patches::new(&g, self.in_channels, self.kernel, self.stride);
+        let mut rows = vec![0.0f32; n_cols * ckk];
+        // Wᵀ [ckk, oc], the column gradients and dx.
+        let mut input_grad = if want_dx {
+            Some((
+                self.weight.transpose()?,
+                vec![0.0f32; ckk * n_cols],
+                Tensor::zeros(input.dims()),
+            ))
+        } else {
+            None
+        };
+        let samples = input.as_slice().chunks_exact(chw);
+        let dys = grad_out.as_slice().chunks_exact(oc * n_cols);
+        for (b, (sample, dy)) in samples.zip(dys).enumerate() {
+            // dW += dy · colsᵀ
+            self.im2row(&g, sample, &mut patches, &mut rows);
+            let dw = self.grad_weight.as_mut_slice();
+            gemm_into(dy, &rows, dw, oc, n_cols, ckk, true);
+            // db += per-channel sums of dy
+            for (db, dyrow) in self
+                .grad_bias
+                .as_mut_slice()
+                .iter_mut()
+                .zip(dy.chunks_exact(n_cols))
+            {
+                *db += dyrow.iter().sum::<f32>();
+            }
+            // dcols = Wᵀ · dy, scattered back to dx
+            if let Some((weight_t, dcols, dx)) = &mut input_grad {
+                gemm_into(weight_t.as_slice(), dy, dcols, ckk, oc, n_cols, false);
+                let dsample = &mut dx.as_mut_slice()[b * chw..(b + 1) * chw];
+                self.col2im(&g, dcols, dsample);
+            }
+        }
+        Ok(input_grad.map(|(_, _, dx)| dx))
+    }
 }
 
 /// Spatial geometry of one [`Conv2d`] call.
@@ -339,49 +398,13 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .clone()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
-        let (batch, h, w) = self.check_input(&input)?;
-        let g = self.geometry(h, w);
-        let oc = self.out_channels;
-        if grad_out.dims() != [batch, oc, g.oh, g.ow] {
-            return Err(NnError::BadInputShape {
-                layer: self.name(),
-                expected: format!("[{batch}, {oc}, {}, {}] gradient", g.oh, g.ow),
-                got: grad_out.dims().to_vec(),
-            });
-        }
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let n_cols = g.oh * g.ow;
-        let mut dx = Tensor::zeros(input.dims());
-        let mut patches = Patches::new(&g, self.in_channels, self.kernel, self.stride);
-        let mut rows = vec![0.0f32; n_cols * ckk];
-        let mut dcols = vec![0.0f32; ckk * n_cols];
-        let weight_t = self.weight.transpose()?; // [ckk, oc]
-        let samples = input.as_slice().chunks_exact(self.in_channels * h * w);
-        let dys = grad_out.as_slice().chunks_exact(oc * n_cols);
-        let dsamples = dx.as_mut_slice().chunks_exact_mut(self.in_channels * h * w);
-        for ((sample, dy), dsample) in samples.zip(dys).zip(dsamples) {
-            // dW += dy · colsᵀ
-            self.im2row(&g, sample, &mut patches, &mut rows);
-            let dw = self.grad_weight.as_mut_slice();
-            gemm_into(dy, &rows, dw, oc, n_cols, ckk, true);
-            // db += per-channel sums of dy
-            for (db, dyrow) in self
-                .grad_bias
-                .as_mut_slice()
-                .iter_mut()
-                .zip(dy.chunks_exact(n_cols))
-            {
-                *db += dyrow.iter().sum::<f32>();
-            }
-            // dcols = Wᵀ · dy, scattered back to dx
-            gemm_into(weight_t.as_slice(), dy, &mut dcols, ckk, oc, n_cols, false);
-            self.col2im(&g, &mut dcols, dsample);
-        }
-        Ok(dx)
+        Ok(self
+            .backward_pass(grad_out, true)?
+            .expect("dx was asked for"))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward_pass(grad_out, false).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -516,6 +539,21 @@ mod tests {
         assert_eq!(dx.dims(), &[2, 2, 4, 4]);
         assert_eq!(conv.grads()[0].dims(), &[3, 18]);
         assert_eq!(conv.grads()[1].dims(), &[3]);
+    }
+
+    #[test]
+    fn backward_before_forward_fails() {
+        let mut rng = TensorRng::new(0);
+        let mut conv = Conv2d::new(2, 3, 3, 1, Padding::Same, &mut rng);
+        let dy = Tensor::ones(&[1, 3, 4, 4]);
+        assert!(matches!(
+            conv.backward(&dy),
+            Err(NnError::BackwardBeforeForward { .. })
+        ));
+        assert!(matches!(
+            conv.backward_params(&dy),
+            Err(NnError::BackwardBeforeForward { .. })
+        ));
     }
 
     #[test]

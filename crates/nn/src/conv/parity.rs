@@ -283,11 +283,19 @@ fn check(
         sprinkle(&mut rng, dy.as_mut_slice(), 0.05, &specials);
     }
 
+    // A twin on the same parameters takes the parameters-only pass.
+    let mut twin = Conv2d::new(c_in, c_out, kernel, stride, padding, &mut rng);
+    for (t, p) in twin.params_mut().into_iter().zip(layer.params()) {
+        t.as_mut_slice().copy_from_slice(p.as_slice());
+    }
+
     let mut oracle = reference::Conv::like(&layer);
     // Two rounds: the second accumulates onto the first's gradients.
     for round in 0..2 {
         let y = layer.forward(&x, true).unwrap();
         let dx = layer.backward(&dy).unwrap();
+        twin.forward(&x, true).unwrap();
+        twin.backward_params(&dy).unwrap();
         let want_y = oracle.forward(x.as_slice(), batch, h, w);
         let want_dx = oracle.backward(x.as_slice(), dy.as_slice(), batch, h, w);
         let what = format!("{what} round {round}");
@@ -298,6 +306,9 @@ fn check(
         let (gw, gb) = (layer.grads()[0].as_slice(), layer.grads()[1].as_slice());
         assert_same_bits(gw, &oracle.grad_weight, &format!("{what}: grad_weight"));
         assert_same_bits(gb, &oracle.grad_bias, &format!("{what}: grad_bias"));
+        let (tw, tb) = (twin.grads()[0].as_slice(), twin.grads()[1].as_slice());
+        assert_same_bits(tw, gw, &format!("{what}: backward_params grad_weight"));
+        assert_same_bits(tb, gb, &format!("{what}: backward_params grad_bias"));
     }
 }
 

@@ -44,6 +44,57 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// The backward pass: accumulates `dW` and `db`, then, when `want_dx`,
+    /// returns `dx`; without it, `Wᵀ` and the `dx` product are skipped.
+    fn backward_pass(&mut self, grad_out: &Tensor, want_dx: bool) -> Result<Option<Tensor>> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
+        if grad_out.rank() != 2
+            || grad_out.dims()[0] != input.dims()[0]
+            || grad_out.dims()[1] != self.out_features
+        {
+            return Err(NnError::BadInputShape {
+                layer: self.name(),
+                expected: format!("[batch, {}] gradient", self.out_features),
+                got: grad_out.dims().to_vec(),
+            });
+        }
+        // dW = x^T · dy ; db = Σ_batch dy ; dx = dy · W^T
+        let batch = grad_out.dims()[0];
+        let go = grad_out.as_slice();
+        gemm_into(
+            input.transpose()?.as_slice(),
+            go,
+            self.grad_weight.as_mut_slice(),
+            self.in_features,
+            batch,
+            self.out_features,
+            true,
+        );
+        let gb = self.grad_bias.as_mut_slice();
+        for gorow in go.chunks_exact(self.out_features) {
+            for (g, &v) in gb.iter_mut().zip(gorow) {
+                *g += v;
+            }
+        }
+        if !want_dx {
+            return Ok(None);
+        }
+        let mut dx = Tensor::zeros(&[batch, self.in_features]);
+        gemm_into(
+            go,
+            self.weight.transpose()?.as_slice(),
+            dx.as_mut_slice(),
+            batch,
+            self.out_features,
+            self.in_features,
+            false,
+        );
+        Ok(Some(dx))
+    }
 }
 
 impl Layer for Dense {
@@ -83,49 +134,13 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::BackwardBeforeForward { layer: self.name() })?;
-        if grad_out.rank() != 2
-            || grad_out.dims()[0] != input.dims()[0]
-            || grad_out.dims()[1] != self.out_features
-        {
-            return Err(NnError::BadInputShape {
-                layer: self.name(),
-                expected: format!("[batch, {}] gradient", self.out_features),
-                got: grad_out.dims().to_vec(),
-            });
-        }
-        // dW = x^T · dy ; db = Σ_batch dy ; dx = dy · W^T
-        let batch = grad_out.dims()[0];
-        let mut dx = Tensor::zeros(&[batch, self.in_features]);
-        let go = grad_out.as_slice();
-        gemm_into(
-            input.transpose()?.as_slice(),
-            go,
-            self.grad_weight.as_mut_slice(),
-            self.in_features,
-            batch,
-            self.out_features,
-            true,
-        );
-        let gb = self.grad_bias.as_mut_slice();
-        for gorow in go.chunks_exact(self.out_features) {
-            for (g, &v) in gb.iter_mut().zip(gorow) {
-                *g += v;
-            }
-        }
-        gemm_into(
-            go,
-            self.weight.transpose()?.as_slice(),
-            dx.as_mut_slice(),
-            batch,
-            self.out_features,
-            self.in_features,
-            false,
-        );
-        Ok(dx)
+        Ok(self
+            .backward_pass(grad_out, true)?
+            .expect("dx was asked for"))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward_pass(grad_out, false).map(drop)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -186,6 +201,38 @@ mod tests {
             layer.backward(&Tensor::zeros(&[1, 2])),
             Err(NnError::BackwardBeforeForward { .. })
         ));
+        assert!(matches!(
+            layer.backward_params(&Tensor::zeros(&[1, 2])),
+            Err(NnError::BackwardBeforeForward { .. })
+        ));
+    }
+
+    #[test]
+    fn backward_params_accumulates_what_backward_does() {
+        let bits = |l: &Dense| -> Vec<Vec<u32>> {
+            l.grads()
+                .iter()
+                .map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for (fan_in, fan_out, batch) in [(3, 2, 1), (17, 9, 5), (192, 40, 16), (4, 3, 0)] {
+            let mut rng = TensorRng::new(fan_in as u64);
+            let mut full = Dense::new(fan_in, fan_out, &mut rng);
+            let mut twin = Dense::new(fan_in, fan_out, &mut rng);
+            for (t, p) in twin.params_mut().into_iter().zip(full.params()) {
+                t.as_mut_slice().copy_from_slice(p.as_slice());
+            }
+            let x = rng.uniform_tensor(&[batch, fan_in], -1.0, 1.0);
+            let dy = rng.uniform_tensor(&[batch, fan_out], -1.0, 1.0);
+            // Two rounds: the second accumulates onto the first.
+            for _ in 0..2 {
+                full.forward(&x, true).unwrap();
+                full.backward(&dy).unwrap();
+                twin.forward(&x, true).unwrap();
+                twin.backward_params(&dy).unwrap();
+                assert_eq!(bits(&twin), bits(&full), "{fan_in}x{fan_out} batch {batch}");
+            }
+        }
     }
 
     #[test]

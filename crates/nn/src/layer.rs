@@ -13,10 +13,14 @@ use crate::Result;
 /// 2. [`Layer::backward`] consumes the gradient w.r.t. the layer's output,
 ///    **accumulates** gradients into the layer's parameter-gradient buffers
 ///    and returns the gradient w.r.t. the layer's input;
-/// 3. [`Layer::zero_grads`] resets the accumulators between steps.
+/// 3. [`Layer::backward_params`] may take the place of `backward` when
+///    nothing reads the input gradient (the bottom parameterised layer of a
+///    stack): it accumulates the same parameter gradients, bit for bit, and
+///    returns nothing;
+/// 4. [`Layer::zero_grads`] resets the accumulators between steps.
 ///
-/// Calling `backward` without a preceding `forward` is an error
-/// ([`crate::NnError::BackwardBeforeForward`]).
+/// Calling `backward` or `backward_params` without a preceding `forward` is
+/// an error ([`crate::NnError::BackwardBeforeForward`]).
 ///
 /// Parameters are exposed as ordered lists so [`crate::Sequential`] can
 /// present the whole model as one flat vector — the unit of exchange in the
@@ -41,6 +45,18 @@ pub trait Layer: Send {
     /// Returns [`crate::NnError::BackwardBeforeForward`] when called without
     /// a cached forward pass, and shape errors for inconsistent gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+
+    /// [`Layer::backward`] without the input gradient: accumulates the same
+    /// parameter gradients and skips whatever only the input gradient
+    /// needs. The default runs `backward` and drops its result; layers with
+    /// an input-gradient product of their own override it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
+    }
 
     /// The layer's parameters, in a stable order.
     fn params(&self) -> Vec<&Tensor>;

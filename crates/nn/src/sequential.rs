@@ -73,6 +73,26 @@ impl Sequential {
         Ok(g)
     }
 
+    /// [`Sequential::backward`] for training, where nothing reads the input
+    /// gradient: `backward` on the layers above the bottom parameterised
+    /// layer, [`Layer::backward_params`] on that layer, and nothing below
+    /// it. The accumulated parameter gradients are `backward`'s, bit for
+    /// bit. A stack without parameters is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer errors (including backward-before-forward).
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let Some(bottom) = self.layers.iter().position(|l| l.param_count() > 0) else {
+            return Ok(());
+        };
+        let mut g = grad_output.clone();
+        for layer in self.layers[bottom + 1..].iter_mut().rev() {
+            g = layer.backward(&g)?;
+        }
+        self.layers[bottom].backward_params(&g)
+    }
+
     /// Resets every layer's gradient accumulators.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
@@ -154,7 +174,9 @@ impl std::fmt::Debug for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Relu};
+    use crate::{Dense, Flatten, Relu};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use tensor::TensorRng;
 
     fn two_layer() -> Sequential {
@@ -222,6 +244,92 @@ mod tests {
         assert!(g.norm() > 0.0);
         m.zero_grads();
         assert_eq!(m.grad_vector().norm(), 0.0);
+    }
+
+    /// A parameterless pass-through that counts its backward calls.
+    struct Counting(Arc<AtomicUsize>);
+
+    impl Layer for Counting {
+        fn name(&self) -> String {
+            "counting".to_owned()
+        }
+
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(grad_out.clone())
+        }
+
+        fn params(&self) -> Vec<&Tensor> {
+            Vec::new()
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            Vec::new()
+        }
+
+        fn grads(&self) -> Vec<&Tensor> {
+            Vec::new()
+        }
+
+        fn zero_grads(&mut self) {}
+    }
+
+    /// `Flatten`, a counter, then a two-layer MLP on a `[batch, 3, 2, 2]`
+    /// input.
+    fn flatten_first(calls: &Arc<AtomicUsize>) -> Sequential {
+        let mut rng = TensorRng::new(5);
+        Sequential::new()
+            .with(Flatten::new())
+            .with(Counting(Arc::clone(calls)))
+            .with(Dense::new(12, 5, &mut rng))
+            .with(Relu::new())
+            .with(Dense::new(5, 2, &mut rng))
+    }
+
+    #[test]
+    fn backward_params_stops_at_the_bottom_parameterised_layer() {
+        let (below_full, below_params) = (Arc::default(), Arc::default());
+        let (mut full, mut params_only) =
+            (flatten_first(&below_full), flatten_first(&below_params));
+        let mut rng = TensorRng::new(6);
+        let x = rng.uniform_tensor(&[4, 3, 2, 2], -1.0, 1.0);
+        let dy = rng.uniform_tensor(&[4, 2], -1.0, 1.0);
+        full.forward(&x, true).unwrap();
+        full.backward(&dy).unwrap();
+        params_only.forward(&x, true).unwrap();
+        params_only.backward_params(&dy).unwrap();
+        let bits = |m: &Sequential| {
+            let g = m.grad_vector();
+            g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&params_only), bits(&full));
+        assert_eq!(below_full.load(Ordering::Relaxed), 1);
+        assert_eq!(below_params.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn backward_params_of_a_stack_without_parameters_touches_nothing() {
+        let calls = Arc::default();
+        let mut m = Sequential::new()
+            .with(Counting(Arc::clone(&calls)))
+            .with(Flatten::new());
+        let y = m.forward(&Tensor::ones(&[2, 3, 2, 2]), true).unwrap();
+        m.backward_params(&y).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn backward_params_before_forward_fails() {
+        let calls = Arc::default();
+        let mut m = flatten_first(&calls);
+        assert!(matches!(
+            m.backward_params(&Tensor::ones(&[4, 2])),
+            Err(NnError::BackwardBeforeForward { .. })
+        ));
     }
 
     #[test]

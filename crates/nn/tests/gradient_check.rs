@@ -31,6 +31,18 @@ fn check_gradients(mut model: Sequential, x: &Tensor, labels: &[usize], eps: f32
     model.backward(&dlogits).unwrap();
     let analytic = model.grad_vector();
 
+    // The training pass skips the input gradient and must accumulate the
+    // same parameter gradients, bit for bit.
+    model.zero_grads();
+    model.forward(x, true).unwrap();
+    model.backward_params(&dlogits).unwrap();
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&model.grad_vector()),
+        bits(&analytic),
+        "backward_params"
+    );
+
     let mut max_err = 0.0f32;
     let mut worst = 0usize;
     for i in 0..params.len() {

@@ -1,7 +1,8 @@
-//! Command-line flags, parsed one way for the `scenario` binary and the
-//! experiment binaries of `guanyu-bench`: `--name value` pairs and bare
-//! `--name` switches; unknown flags are ignored. Each binary crate tests the
-//! flags it reads against [`parse_arg`].
+//! Command-line flags, parsed one way for the `scenario` binary and
+//! `guanyu-bench`'s `repro <table>`: `--name value` pairs and bare `--name`
+//! switches; unknown flags are ignored here (`repro` rejects the ones its
+//! table does not take). Each binary crate tests the flags it reads against
+//! [`parse_arg`].
 
 use std::str::FromStr;
 

@@ -28,8 +28,8 @@
 //!    ([`check::check_invariants`]).
 //!
 //! [`matrix`] ships the standard scenario suite (one per fault class plus
-//! a combined stress), used by `tests/scenario_matrix.rs` and the
-//! `scenario_sweep` experiment binary.
+//! a combined stress), used by `tests/scenario_matrix.rs` and `repro
+//! scenario_sweep`.
 //!
 //! Beyond the fixed matrix, the crate is a *search engine* over the
 //! schedule space (DESIGN.md §8): [`chaos`] samples random in-bounds
@@ -38,7 +38,7 @@
 //! reproducer, and [`mod@file`] serialises reproducers as `.scenario.json`
 //! artifacts that replay forever. The `scenario` CLI binary drives all of
 //! it (`gen` / `run` / `fuzz` / `replay` / `soak`), parsing its flags with
-//! [`cli`], as the experiment binaries do.
+//! [`cli`], as `repro` does.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

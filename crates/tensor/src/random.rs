@@ -2,12 +2,18 @@
 //!
 //! All stochasticity in the reproduction flows through [`TensorRng`], a thin
 //! wrapper over an in-crate ChaCha8 block cipher keyed by an explicit `u64`
-//! seed (the build environment has no crates.io access, so the usual
-//! `rand_chacha` dependency is replaced by ~60 lines of ChaCha). Every
-//! experiment binary takes a seed, so every figure in EXPERIMENTS.md is
-//! bit-for-bit reproducible.
+//! seed (the workspace has no registry dependencies, so the usual
+//! `rand_chacha` is replaced by the ChaCha core below). Every `repro` table
+//! and every `perf` workload takes a seed, so every result is bit-for-bit
+//! reproducible.
 
 use crate::Tensor;
+
+/// Normals drawn per pass of [`TensorRng::normal_tensor`]: the uniform
+/// pairs of a chunk are drawn first, then Box–Muller runs over the whole
+/// chunk, so the cipher and the `ln` / `sqrt` / `cos` calls each get a loop
+/// of their own.
+const NORMAL_CHUNK: usize = 64;
 
 /// One round of splitmix64 — used only to expand the `u64` seed into a
 /// 256-bit ChaCha key.
@@ -17,6 +23,14 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The cosine half of Box–Muller over the uniforms `(u1, u2)`, scaled to
+/// N(`mean`, `std`²).
+#[inline(always)]
+fn box_muller(u1: f64, u2: f64, mean: f32, std: f32) -> f32 {
+    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+    mean + std * z as f32
 }
 
 /// ChaCha with 8 rounds: the statistically-strong, fast PRNG core.
@@ -56,15 +70,17 @@ impl ChaCha8 {
         self.idx = 16;
     }
 
-    fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-        s[a] = s[a].wrapping_add(s[b]);
-        s[d] = (s[d] ^ s[a]).rotate_left(16);
-        s[c] = s[c].wrapping_add(s[d]);
-        s[b] = (s[b] ^ s[c]).rotate_left(12);
-        s[a] = s[a].wrapping_add(s[b]);
-        s[d] = (s[d] ^ s[a]).rotate_left(8);
-        s[c] = s[c].wrapping_add(s[d]);
-        s[b] = (s[b] ^ s[c]).rotate_left(7);
+    #[inline(always)]
+    fn quarter_round(mut a: u32, mut b: u32, mut c: u32, mut d: u32) -> (u32, u32, u32, u32) {
+        a = a.wrapping_add(b);
+        d = (d ^ a).rotate_left(16);
+        c = c.wrapping_add(d);
+        b = (b ^ c).rotate_left(12);
+        a = a.wrapping_add(b);
+        d = (d ^ a).rotate_left(8);
+        c = c.wrapping_add(d);
+        b = (b ^ c).rotate_left(7);
+        (a, b, c, d)
     }
 
     fn refill(&mut self) {
@@ -86,20 +102,26 @@ impl ChaCha8 {
             self.stream as u32,
             (self.stream >> 32) as u32,
         ];
-        let mut w = state;
+        // Sixteen locals rather than an indexed array: the whole state stays
+        // in registers through the eight double rounds.
+        let [mut x0, mut x1, mut x2, mut x3, mut x4, mut x5, mut x6, mut x7, mut x8, mut x9, mut x10, mut x11, mut x12, mut x13, mut x14, mut x15] =
+            state;
         for _ in 0..4 {
             // Column round.
-            Self::quarter_round(&mut w, 0, 4, 8, 12);
-            Self::quarter_round(&mut w, 1, 5, 9, 13);
-            Self::quarter_round(&mut w, 2, 6, 10, 14);
-            Self::quarter_round(&mut w, 3, 7, 11, 15);
+            (x0, x4, x8, x12) = Self::quarter_round(x0, x4, x8, x12);
+            (x1, x5, x9, x13) = Self::quarter_round(x1, x5, x9, x13);
+            (x2, x6, x10, x14) = Self::quarter_round(x2, x6, x10, x14);
+            (x3, x7, x11, x15) = Self::quarter_round(x3, x7, x11, x15);
             // Diagonal round.
-            Self::quarter_round(&mut w, 0, 5, 10, 15);
-            Self::quarter_round(&mut w, 1, 6, 11, 12);
-            Self::quarter_round(&mut w, 2, 7, 8, 13);
-            Self::quarter_round(&mut w, 3, 4, 9, 14);
+            (x0, x5, x10, x15) = Self::quarter_round(x0, x5, x10, x15);
+            (x1, x6, x11, x12) = Self::quarter_round(x1, x6, x11, x12);
+            (x2, x7, x8, x13) = Self::quarter_round(x2, x7, x8, x13);
+            (x3, x4, x9, x14) = Self::quarter_round(x3, x4, x9, x14);
         }
-        for (out, (&mixed, &initial)) in self.block.iter_mut().zip(w.iter().zip(state.iter())) {
+        let mixed = [
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15,
+        ];
+        for (out, (&mixed, &initial)) in self.block.iter_mut().zip(mixed.iter().zip(state.iter())) {
             *out = mixed.wrapping_add(initial);
         }
         self.counter = self.counter.wrapping_add(1);
@@ -116,6 +138,12 @@ impl ChaCha8 {
     }
 
     fn next_u64(&mut self) -> u64 {
+        if self.idx < 15 {
+            let lo = u64::from(self.block[self.idx]);
+            let hi = u64::from(self.block[self.idx + 1]);
+            self.idx += 2;
+            return lo | (hi << 32);
+        }
         let lo = u64::from(self.next_u32());
         let hi = u64::from(self.next_u32());
         lo | (hi << 32)
@@ -162,14 +190,18 @@ impl TensorRng {
         }
     }
 
-    /// A standard-normal sample (Box–Muller).
+    /// A sample of N(`mean`, `std`²) by Box–Muller.
     pub fn normal(&mut self, mean: f32, std: f32) -> f32 {
-        // Box–Muller transform; one sample per call keeps the stream simple
-        // and deterministic.
-        let u1: f64 = f64::EPSILON + self.unit() * (1.0 - f64::EPSILON);
-        let u2: f64 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        mean + std * z as f32
+        let (u1, u2) = self.box_muller_pair();
+        box_muller(u1, u2, mean, std)
+    }
+
+    /// The two uniforms of one Box–Muller sample, `u1` kept off zero. One
+    /// sample per pair (the `sin` half is never used) keeps the stream
+    /// simple: every normal costs exactly four words.
+    fn box_muller_pair(&mut self) -> (f64, f64) {
+        let u1 = f64::EPSILON + self.unit() * (1.0 - f64::EPSILON);
+        (u1, self.unit())
     }
 
     /// A uniform integer in `[0, n)`.
@@ -192,11 +224,20 @@ impl TensorRng {
         t
     }
 
-    /// A tensor with i.i.d. normal entries.
+    /// A tensor with i.i.d. N(`mean`, `std`²) entries: bit for bit the
+    /// values, and the stream position, of [`TensorRng::normal`] called
+    /// once per entry in order.
     pub fn normal_tensor(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
         let mut t = Tensor::zeros(dims);
-        for v in t.as_mut_slice() {
-            *v = self.normal(mean, std);
+        let mut pairs = [(0.0, 0.0); NORMAL_CHUNK];
+        for chunk in t.as_mut_slice().chunks_mut(NORMAL_CHUNK) {
+            let pairs = &mut pairs[..chunk.len()];
+            for pair in pairs.iter_mut() {
+                *pair = self.box_muller_pair();
+            }
+            for (v, &(u1, u2)) in chunk.iter_mut().zip(pairs.iter()) {
+                *v = box_muller(u1, u2, mean, std);
+            }
         }
         t
     }
