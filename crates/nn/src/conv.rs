@@ -2,7 +2,7 @@
 
 use tensor::{gemm_into, Tensor, TensorRng};
 
-use crate::layer::Layer;
+use crate::layer::{input_grad_read, Layer};
 use crate::{NnError, Result};
 
 /// Spatial padding scheme, following TensorFlow's conventions (the paper's
@@ -398,9 +398,9 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        Ok(self
-            .backward_pass(grad_out, true)?
-            .expect("dx was asked for"))
+        let dx = self.backward_pass(grad_out, input_grad_read())?;
+        // No dx only under a wrapper's `backward_params`, which drops it.
+        Ok(dx.unwrap_or_else(|| Tensor::zeros(&[0])))
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {

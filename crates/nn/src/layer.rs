@@ -1,8 +1,34 @@
 //! The [`Layer`] trait.
 
+use std::cell::Cell;
+
 use tensor::Tensor;
 
 use crate::Result;
+
+thread_local! {
+    /// Set while a default [`Layer::backward_params`] body runs `backward`:
+    /// the input gradient that call returns is dropped unread.
+    static INPUT_GRAD_UNREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the input gradient of the `backward` call now running will be
+/// read. A layer that can skip it asks once, at the top of `backward`.
+/// Asking clears the mark, so under a wrapper only the first such layer
+/// reached skips its input gradient.
+pub(crate) fn input_grad_read() -> bool {
+    !INPUT_GRAD_UNREAD.take()
+}
+
+/// Restores the mark when a default `backward_params` body ends, unwinding
+/// included.
+struct Unread(bool);
+
+impl Drop for Unread {
+    fn drop(&mut self) {
+        INPUT_GRAD_UNREAD.set(self.0);
+    }
+}
 
 /// A differentiable layer with owned parameters and gradient accumulators.
 ///
@@ -16,7 +42,9 @@ use crate::Result;
 /// 3. [`Layer::backward_params`] may take the place of `backward` when
 ///    nothing reads the input gradient (the bottom parameterised layer of a
 ///    stack): it accumulates the same parameter gradients, bit for bit, and
-///    returns nothing;
+///    returns nothing. Reached through a wrapper that forwards only
+///    `backward`, a layer that skips its input gradient returns an empty
+///    tensor from `backward`, which the default `backward_params` drops;
 /// 4. [`Layer::zero_grads`] resets the accumulators between steps.
 ///
 /// Calling `backward` or `backward_params` without a preceding `forward` is
@@ -48,13 +76,18 @@ pub trait Layer: Send {
 
     /// [`Layer::backward`] without the input gradient: accumulates the same
     /// parameter gradients and skips whatever only the input gradient
-    /// needs. The default runs `backward` and drops its result; layers with
-    /// an input-gradient product of their own override it.
+    /// needs. `Conv2d` and `Dense` override it. The default runs `backward`
+    /// with its result marked unread and drops it: a layer without an
+    /// input-gradient product loses nothing, and a wrapper that forwards
+    /// only `backward` (the `perf` harness's stopwatches) still lets the
+    /// wrapped `Conv2d` or `Dense` skip its input gradient, so a wrapped
+    /// model runs the same arithmetic as a bare one.
     ///
     /// # Errors
     ///
     /// As [`Layer::backward`].
     fn backward_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let _outer = Unread(INPUT_GRAD_UNREAD.replace(true));
         self.backward(grad_out).map(drop)
     }
 

@@ -174,9 +174,9 @@ impl std::fmt::Debug for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Flatten, Relu};
+    use crate::{Conv2d, Dense, Flatten, Padding, Relu};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     use tensor::TensorRng;
 
     fn two_layer() -> Sequential {
@@ -330,6 +330,105 @@ mod tests {
             m.backward_params(&Tensor::ones(&[4, 2])),
             Err(NnError::BackwardBeforeForward { .. })
         ));
+    }
+
+    /// Lengths of the input gradients wrapped layers returned, in call
+    /// order.
+    type DxLog = Arc<Mutex<Vec<usize>>>;
+
+    /// A wrapper like the `perf` harness's stopwatches: it forwards
+    /// `backward` but not `backward_params`, and logs the length of every
+    /// input gradient its layer returns.
+    struct Wrapped {
+        inner: Box<dyn Layer>,
+        dx_lens: DxLog,
+    }
+
+    impl Layer for Wrapped {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+            self.inner.forward(input, train)
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+            let dx = self.inner.backward(grad_out)?;
+            self.dx_lens.lock().unwrap().push(dx.len());
+            Ok(dx)
+        }
+
+        fn params(&self) -> Vec<&Tensor> {
+            self.inner.params()
+        }
+
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            self.inner.params_mut()
+        }
+
+        fn grads(&self) -> Vec<&Tensor> {
+            self.inner.grads()
+        }
+
+        fn zero_grads(&mut self) {
+            self.inner.zero_grads();
+        }
+
+        fn param_count(&self) -> usize {
+            self.inner.param_count()
+        }
+    }
+
+    /// A convolution, `Relu`, `Flatten` and a `Dense` head on `[batch, 2,
+    /// 4, 4]` inputs, every layer wrapped when `log` is given.
+    fn conv_stack(log: Option<&DxLog>) -> Sequential {
+        let mut rng = TensorRng::new(8);
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Conv2d::new(2, 3, 3, 1, Padding::Same, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Flatten::new()),
+            Box::new(Dense::new(48, 2, &mut rng)),
+        ];
+        let mut m = Sequential::new();
+        for inner in layers {
+            m.push(match log {
+                Some(log) => Box::new(Wrapped {
+                    inner,
+                    dx_lens: Arc::clone(log),
+                }),
+                None => inner,
+            });
+        }
+        m
+    }
+
+    #[test]
+    fn a_wrapper_that_forwards_only_backward_still_skips_the_input_gradient() {
+        let log = Arc::default();
+        let (mut bare, mut wrapped) = (conv_stack(None), conv_stack(Some(&log)));
+        let mut rng = TensorRng::new(9);
+        let x = rng.uniform_tensor(&[3, 2, 4, 4], -1.0, 1.0);
+        let dy = rng.uniform_tensor(&[3, 2], -1.0, 1.0);
+        bare.forward(&x, true).unwrap();
+        bare.backward(&dy).unwrap();
+        wrapped.forward(&x, true).unwrap();
+        wrapped.backward_params(&dy).unwrap();
+        let bits = |m: &Sequential| {
+            let g = m.grad_vector();
+            g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&wrapped), bits(&bare));
+        // Every layer above the convolution passes on its full `dx`
+        // (`[3, 48]` = `[3, 3, 4, 4]` = 144 floats); the convolution,
+        // reached through its wrapper's default `backward_params`, returns
+        // none.
+        let lens = |log: &DxLog| std::mem::take(&mut *log.lock().unwrap());
+        assert_eq!(lens(&log), [144, 144, 144, 0]);
+        // The mark ends with the call: a full pass gets every `dx`.
+        wrapped.forward(&x, true).unwrap();
+        wrapped.backward(&dy).unwrap();
+        assert_eq!(lens(&log), [144, 144, 144, x.len()]);
     }
 
     #[test]
