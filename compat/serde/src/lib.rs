@@ -156,6 +156,19 @@ pub trait Deserialize: Sized {
     fn deserialize_value(v: &Value) -> Result<Self, DeError>;
 }
 
+/// A tree is its own serialization, as `serde_json::Value` is upstream.
+impl Serialize for Value {
+    fn serialize_value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Deserialize for Value {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize_value(&self) -> Value {
         (**self).serialize_value()

@@ -68,8 +68,7 @@ impl Gar for Bulyan {
 
         // Phase 1: iterated Krum selection. The O(n²·d) distance matrix is
         // computed exactly once; each selection round rescoring only masks
-        // out the already-selected indices (O(n² log n), no d term), where
-        // the previous implementation recomputed the full matrix per round.
+        // out the already-selected indices (O(n² log n), no d term).
         let dist = kernel::pairwise_distances(&views);
         let mut active: Vec<usize> = (0..n).collect();
         let mut selected: Vec<usize> = Vec::with_capacity(select_count);

@@ -22,11 +22,18 @@
 //!   order-statistic rules sort `TILE` coordinates at once, see
 //!   `sorted_tiles`, but every lane of a tile is still its own column;
 //! * each entry of the Krum-family pairwise-distance matrix is a pure
-//!   function of its two input vectors, one `f64` chain in coordinate
-//!   order.
+//!   function of its two input vectors, *defined* by one `f64` chain in
+//!   coordinate order (`distance`). It is *evaluated* by a reordered sum
+//!   (`lane_sum`) whose root is used only when a rounding certificate
+//!   proves it is the chain's root (`certified_root`); otherwise the chain
+//!   itself runs. Either way the bits are the chain's.
 
-/// Euclidean distance between two equal-length views, with the same
-/// operation chain as `Tensor::distance` (f64 accumulation, f32 root).
+/// Euclidean distance between two equal-length views: each operand widened
+/// to `f64`, the squared differences summed in coordinate order, the root
+/// rounded to `f32`. This chain *defines* the Krum pair value; [`root`]
+/// runs it only where the certificate cannot vouch for the faster sum.
+/// (`Tensor::distance` is a different chain: it subtracts in `f32` and
+/// widens the difference.)
 fn distance(a: &[f32], b: &[f32]) -> f32 {
     a.iter()
         .zip(b)
@@ -38,12 +45,84 @@ fn distance(a: &[f32], b: &[f32]) -> f32 {
         .sqrt() as f32
 }
 
+/// Independent accumulators of [`lane_sum`]: four 128-bit vectors of
+/// `f64`, enough to keep the adder busy instead of waiting on one chain.
+const LANES: usize = 8;
+
+/// The unit roundoff of `f64`, `2^-53`.
+const U: f64 = f64::EPSILON / 2.0;
+
+/// [`distance`]'s terms `(f64(x) − f64(y))²`, the same values, summed in
+/// [`LANES`] independent lanes (coordinate `c` into lane `c % LANES`) and
+/// combined by a fixed tree. No operation is fused or reordered *within* a
+/// term, so only the order of the additions differs from the chain.
+fn lane_sum(a: &[f32], b: &[f32]) -> f64 {
+    let len = a.len().min(b.len());
+    let (a, b) = (&a[..len], &b[..len]);
+    let mut acc = [0.0f64; LANES];
+    let (wide_a, tail_a) = a.as_chunks::<LANES>();
+    let (wide_b, tail_b) = b.as_chunks::<LANES>();
+    for (x, y) in wide_a.iter().zip(wide_b) {
+        for k in 0..LANES {
+            let d = f64::from(x[k]) - f64::from(y[k]);
+            acc[k] += d * d;
+        }
+    }
+    for (k, (&x, &y)) in tail_a.iter().zip(tail_b).enumerate() {
+        let d = f64::from(x) - f64::from(y);
+        acc[k] += d * d;
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+}
+
+/// Relative half-width `w` of an interval `[s·(1−w), s·(1+w)]` around a
+/// sum `s` of `d` non-negative terms, taken in any order, that holds the
+/// sum of the same terms in any other order.
+///
+/// Every order of `d` terms rounds each term through at most `d − 1`
+/// additions (a lane's first addition, to its `0.0`, is exact, so
+/// [`lane_sum`] is one such order), so each computed sum is within `γ = γ_{d−1} = (d−1)u /
+/// (1 − (d−1)u)` of the exact sum `S` relative to `Σ|tᵢ| = S` (Higham,
+/// *Accuracy and Stability of Numerical Algorithms*, §4.2). Two such sums
+/// are then within `ρ = 2γ/(1−γ) = 2(d−1)u / (1 − 2(d−1)u)` of each other.
+/// The width is `2ρ + 4u`: the factor 2 is a safety margin, and `4u`
+/// covers the two roundings in computing each end of the interval (and
+/// keeps it open at `d = 1`, where `ρ = 0`).
+fn certificate_width(d: usize) -> f64 {
+    let m = d.saturating_sub(1) as f64 * U;
+    let rho = 2.0 * m / (1.0 - 2.0 * m);
+    2.0 * rho + 4.0 * U
+}
+
+/// The chain's `f32` root, when the lane sum `s` of `d` terms proves it.
+///
+/// The chain's sum lies in `[s·(1−w), s·(1+w)]` ([`certificate_width`]);
+/// `sqrt` and the `f32` cast are both monotone, so when the two ends of
+/// that interval round to the same `f32` root, that root is the chain's.
+/// `None` when they do not (the interval straddles a rounding boundary of
+/// the `f32` root) or when `s` is not finite (a term was `∞` or NaN, and
+/// the chain decides which).
+fn certified_root(s: f64, d: usize) -> Option<f32> {
+    if !s.is_finite() {
+        return None;
+    }
+    let w = certificate_width(d);
+    let lo = (s * (1.0 - w)).sqrt() as f32;
+    let hi = (s * (1.0 + w)).sqrt() as f32;
+    (lo.to_bits() == hi.to_bits()).then_some(lo)
+}
+
+/// [`distance`], bit for bit: the certified lane root, or the chain.
+fn root(a: &[f32], b: &[f32]) -> f32 {
+    certified_root(lane_sum(a, b), a.len().min(b.len())).unwrap_or_else(|| distance(a, b))
+}
+
 /// The Krum pair value: the *squared* Euclidean distance of the original
 /// Krum definition (Blanchard et al., NeurIPS 2017), taken as [`distance`]
 /// rounded to `f32`, widened and squared. The root and the `f32` rounding
 /// are not redundant: that chain is in every trace fingerprint.
 fn pair_value(a: &[f32], b: &[f32]) -> f64 {
-    let d = f64::from(distance(a, b));
+    let d = f64::from(root(a, b));
     d * d
 }
 
@@ -259,6 +338,8 @@ pub fn views(inputs: &[tensor::Tensor]) -> Vec<&[f32]> {
     inputs.iter().map(tensor::Tensor::as_slice).collect()
 }
 
+#[cfg(test)]
+mod distance_parity;
 #[cfg(test)]
 mod tiled_parity;
 

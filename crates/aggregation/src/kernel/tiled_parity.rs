@@ -67,7 +67,7 @@ mod reference {
 
 /// Values the shims reject or that order oddly: the kernels are public and
 /// must place them exactly where `total_cmp` does.
-const ADVERSARIAL: [u32; 20] = [
+pub(super) const ADVERSARIAL: [u32; 20] = [
     0x0000_0000, // +0.0
     0x8000_0000, // -0.0
     0x0000_0001, // smallest subnormals
@@ -91,7 +91,7 @@ const ADVERSARIAL: [u32; 20] = [
 ];
 
 /// Half adversarial values, half ordinary ones in `[-2, 2)`.
-fn value(rng: &mut TensorRng) -> f32 {
+pub(super) fn value(rng: &mut TensorRng) -> f32 {
     if rng.below(2) == 0 {
         f32::from_bits(ADVERSARIAL[rng.below(ADVERSARIAL.len())])
     } else {

@@ -307,9 +307,14 @@ impl Tensor {
             .sum::<f64>() as f32
     }
 
-    /// Euclidean distance between two same-shape tensors.
+    /// Euclidean distance between two same-shape tensors: each difference
+    /// taken in `f32` and widened, the squares summed in `f64`, the root
+    /// rounded to `f32`.
     ///
-    /// This is the metric Multi-Krum scores are built from.
+    /// `GeometricMedian` and `aggregation::properties::diameter` measure
+    /// with it. Multi-Krum and Bulyan do not: their pair values come from
+    /// `aggregation::kernel::pairwise_distances`, which widens each operand
+    /// before subtracting.
     ///
     /// # Errors
     ///
