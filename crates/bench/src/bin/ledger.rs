@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Pair `p` runs at the `p`-th seed: every workload in turn, once on every
-//! side, each run one process in the harness's driver form (`PATH
+//! side, each run one process in the harness's one-run form (`PATH
 //! --workload W --seed N --seconds S --trace T`). The sides run in the
 //! order given at even `p` and in reverse at odd `p`. Every later side is
 //! compared with the first: it wins a pair when its value is strictly
@@ -131,7 +131,7 @@ fn side_order(p: usize, sides: usize) -> Vec<usize> {
 }
 
 /// A metric as `BENCHMARK.json` declares it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Def {
     name: String,
     unit: String,
@@ -166,7 +166,7 @@ fn metric_defs(benchmark: &Value) -> Vec<Def> {
 }
 
 /// One run of one side: what the harness printed.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug)]
 struct Run {
     exit: i32,
     /// The `env:` line.
@@ -179,7 +179,7 @@ struct Run {
 
 /// The harness's result line, `{"correct", "attempted", "failed",
 /// "metrics": {name: {"value", "unit"}}}`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct ResultLine {
     correct: bool,
     attempted: u64,
@@ -287,19 +287,15 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-fn num(x: f64) -> Value {
-    Value::F64(x)
-}
-
 fn stats(runs: &[f64]) -> Value {
     obj(vec![
         (
             "runs",
-            Value::Array(runs.iter().copied().map(num).collect()),
+            Value::Array(runs.iter().copied().map(Value::F64).collect()),
         ),
-        ("median", num(median(runs))),
-        ("q1", num(quantile(runs, 0.25))),
-        ("q3", num(quantile(runs, 0.75))),
+        ("median", Value::F64(median(runs))),
+        ("q1", Value::F64(quantile(runs, 0.25))),
+        ("q3", Value::F64(quantile(runs, 0.75))),
     ])
 }
 
@@ -332,7 +328,7 @@ impl Workload<'_> {
         ]);
         let mut out = obj(entries);
         if let Value::Object(o) = &mut out {
-            o.extend(r.metrics.iter().map(|(n, v)| (n.clone(), num(*v))));
+            o.extend(r.metrics.iter().map(|(n, v)| (n.clone(), Value::F64(*v))));
         }
         out
     }
@@ -397,7 +393,7 @@ impl Workload<'_> {
                 ),
             ];
             if let Some(b) = def.bound {
-                entries.push(("bound".to_owned(), num(b)));
+                entries.push(("bound".to_owned(), Value::F64(b)));
             }
             let column = |s: usize| -> Vec<f64> {
                 self.runs
@@ -431,7 +427,10 @@ impl Workload<'_> {
                 if s == 1 {
                     entries.push(("pairs_tied".to_owned(), Value::U64(tied as u64)));
                 }
-                entries.push((format!("{name}_over_{base_name}_median"), num(mo / mb)));
+                entries.push((
+                    format!("{name}_over_{base_name}_median"),
+                    Value::F64(mo / mb),
+                ));
                 if let (1, Some(bound)) = (s, def.bound) {
                     let ok = within_bound(mb, mo, def.higher_is_better, bound);
                     entries.push(("within_bound".to_owned(), Value::Bool(ok)));
@@ -479,7 +478,7 @@ impl Workload<'_> {
     }
 }
 
-/// Runs `path` once in the harness's driver form.
+/// Runs `path` once in the harness's one-run form.
 fn run_once(
     path: &str,
     workload: &str,
