@@ -17,6 +17,12 @@
 //! better. `better` and `bound` come from `BENCHMARK.json`, and so does the
 //! default `--seconds` (`run_seconds`).
 //!
+//! Each run also records what the process cost the machine: its minor page
+//! faults and its user and system CPU seconds, read as the change in this
+//! process's own children counters (`/proc/self/stat`'s `cminflt`,
+//! `cutime`, `cstime`) across the wait for that one child. Their medians
+//! per side are printed under each workload's `process` key.
+//!
 //! Building the sides is a shell step: extract each tree into a directory
 //! of its own and build the benchmark package there (the verify skill has
 //! the commands). Progress goes to stderr and the JSON to stdout. Exit
@@ -165,10 +171,65 @@ fn metric_defs(benchmark: &Value) -> Vec<Def> {
         .collect()
 }
 
+/// What one child process cost: minor page faults and CPU seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Usage {
+    minor_faults: u64,
+    user_s: f64,
+    sys_s: f64,
+}
+
+/// Linux reports process times in `USER_HZ` ticks, which is 100 on every
+/// architecture it ships for.
+const TICKS_PER_SEC: f64 = 100.0;
+
+/// The waited-for children's totals of a `/proc/<pid>/stat` line: fields 11
+/// (`cminflt`), 16 (`cutime`) and 17 (`cstime`). The fields are counted
+/// after the *last* `)`, since the command name in parentheses may itself
+/// hold spaces and parentheses.
+fn parse_child_usage(line: &str) -> Option<Usage> {
+    let after_comm = &line[line.rfind(')')? + 1..];
+    // The first field after the name is field 3, the state.
+    let field =
+        |n: usize| -> Option<u64> { after_comm.split_whitespace().nth(n - 3)?.parse().ok() };
+    Some(Usage {
+        minor_faults: field(11)?,
+        user_s: field(16)? as f64 / TICKS_PER_SEC,
+        sys_s: field(17)? as f64 / TICKS_PER_SEC,
+    })
+}
+
+/// This process's children totals now; `None` when `/proc` is unreadable.
+fn child_usage() -> Option<Usage> {
+    parse_child_usage(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+impl Usage {
+    /// What accrued between `self` and the later reading `after`.
+    fn until(self, after: Usage) -> Usage {
+        Usage {
+            minor_faults: after.minor_faults.saturating_sub(self.minor_faults),
+            user_s: after.user_s - self.user_s,
+            sys_s: after.sys_s - self.sys_s,
+        }
+    }
+
+    /// The fields by name, in the order the JSON lists them.
+    fn fields(self) -> [(&'static str, f64); 3] {
+        [
+            ("minor_faults", self.minor_faults as f64),
+            ("user_s", self.user_s),
+            ("sys_s", self.sys_s),
+        ]
+    }
+}
+
 /// One run of one side: what the harness printed.
 #[derive(Debug)]
 struct Run {
     exit: i32,
+    /// What the child cost, when `/proc` could say.
+    usage: Option<Usage>,
     /// The `env:` line.
     env: Option<String>,
     /// The value of the `fingerprint = …` line.
@@ -207,6 +268,7 @@ fn parse_output(stdout: &str, exit: i32) -> Run {
     };
     Run {
         exit,
+        usage: None,
         env: line("env:").map(|e| format!("env: {e}")),
         fingerprint: line("fingerprint ="),
         result: stdout
@@ -316,6 +378,9 @@ impl Workload<'_> {
         let mut entries = vec![("exit", Value::I64(i64::from(run.exit)))];
         if let Some(f) = &run.fingerprint {
             entries.push(("fingerprint", Value::Str(f.clone())));
+        }
+        if let Some(u) = run.usage {
+            entries.extend(u.fields().map(|(k, v)| (k, Value::F64(v))));
         }
         let Some(r) = &run.result else {
             entries.push(("correct", Value::Bool(false)));
@@ -441,6 +506,23 @@ impl Workload<'_> {
         Value::Object(summary.collect())
     }
 
+    /// Per usage field, each side's runs with their median and quartiles.
+    fn process_json(&self) -> Value {
+        let fields = Usage::default().fields().map(|(k, _)| k);
+        let per_field = fields.iter().enumerate().map(|(i, &field)| {
+            let sides = self.sides.iter().enumerate().filter_map(|(s, (name, _))| {
+                let runs: Vec<f64> = self
+                    .runs
+                    .iter()
+                    .filter_map(|runs| Some(runs[s].usage?.fields()[i].1))
+                    .collect();
+                (!runs.is_empty()).then(|| (name.clone(), stats(&runs)))
+            });
+            (field.to_owned(), Value::Object(sides.collect()))
+        });
+        Value::Object(per_field.collect())
+    }
+
     fn json(&self, defs: &[Def]) -> Value {
         let all: Vec<&Run> = self.runs.iter().flatten().collect();
         let mut attempted: Vec<u64> = all
@@ -456,6 +538,7 @@ impl Workload<'_> {
         obj(vec![
             ("pairs", self.pairs_json()),
             ("summary", self.summary_json(defs)),
+            ("process", self.process_json()),
             (
                 "attempted",
                 Value::Array(attempted.into_iter().map(Value::U64).collect()),
@@ -478,7 +561,8 @@ impl Workload<'_> {
     }
 }
 
-/// Runs `path` once in the harness's one-run form.
+/// Runs `path` once in the harness's one-run form, and reads what the
+/// child cost from this process's children counters around the wait.
 fn run_once(
     path: &str,
     workload: &str,
@@ -486,6 +570,7 @@ fn run_once(
     seconds: f64,
     trace: bool,
 ) -> Result<Run, String> {
+    let before = child_usage();
     let out = Command::new(path)
         .args(["--workload", workload])
         .args(["--seed", &seed.to_string()])
@@ -494,8 +579,12 @@ fn run_once(
         .stderr(Stdio::inherit())
         .output()
         .map_err(|e| format!("{path}: {e}"))?;
+    let usage = before.zip(child_usage()).map(|(b, a)| b.until(a));
     let exit = out.status.code().unwrap_or(-1);
-    Ok(parse_output(&String::from_utf8_lossy(&out.stdout), exit))
+    Ok(Run {
+        usage,
+        ..parse_output(&String::from_utf8_lossy(&out.stdout), exit)
+    })
 }
 
 fn main() -> ExitCode {
@@ -538,12 +627,13 @@ fn main() -> ExitCode {
                     }
                 };
                 eprintln!(
-                    "ledger: pair {}/{} seed {seed} {name} {side}: exit {} fingerprint {} updates_per_s {}",
+                    "ledger: pair {}/{} seed {seed} {name} {side}: exit {} fingerprint {} updates_per_s {} minor_faults {}",
                     p + 1,
                     args.seeds.len(),
                     run.exit,
                     run.fingerprint.as_deref().unwrap_or("-"),
                     run.value("updates_per_s").map_or("-".to_owned(), |v| format!("{v:.1}")),
+                    run.usage.map_or("-".to_owned(), |u| u.minor_faults.to_string()),
                 );
                 env = env.take().or_else(|| run.env.clone());
                 runs.push((s, run));
@@ -730,6 +820,68 @@ mod tests {
         let mut bad = w;
         bad.runs[2][1] = run(130.0, "0x4");
         assert!(!bad.clean());
+    }
+
+    #[test]
+    fn child_usage_is_read_after_the_last_parenthesis() {
+        // pid, a name holding spaces and `)`, then fields 3…: state R,
+        // minflt 7 (field 10), cminflt 123456 (field 11), utime 11, stime
+        // 12, cutime 2345 and cstime 678 (fields 16 and 17).
+        let line =
+            "4242 (perf (x) y) z) R 1 1 1 0 -1 4194560 7 123456 0 0 11 12 2345 678 20 0 9 0 1 2 3";
+        let u = parse_child_usage(line).unwrap();
+        assert_eq!(u.minor_faults, 123_456);
+        assert!(close(u.user_s, 23.45) && close(u.sys_s, 6.78));
+        assert!(
+            parse_child_usage("4242 (perf) R 1 1").is_none(),
+            "too few fields"
+        );
+        assert!(parse_child_usage("no parenthesis at all").is_none());
+        let later = Usage {
+            minor_faults: 123_500,
+            user_s: 24.0,
+            sys_s: 7.0,
+        };
+        let d = u.until(later);
+        assert_eq!(d.minor_faults, 44);
+        assert!(close(d.user_s, 0.55) && close(d.sys_s, 0.22));
+    }
+
+    #[test]
+    fn the_process_section_has_each_sides_medians() {
+        let sides = [
+            ("parent".to_owned(), "a".to_owned()),
+            ("change".to_owned(), "b".to_owned()),
+        ];
+        let seeds = [1, 2];
+        let with = |faults: u64, r: Run| Run {
+            usage: Some(Usage {
+                minor_faults: faults,
+                user_s: 1.0,
+                sys_s: 0.5,
+            }),
+            ..r
+        };
+        let w = Workload {
+            sides: &sides,
+            seeds: &seeds,
+            runs: vec![
+                vec![with(100, run(1.0, "0x1")), with(40, run(2.0, "0x1"))],
+                vec![with(300, run(1.0, "0x2")), run(2.0, "0x2")],
+            ],
+        };
+        let json = w.process_json();
+        let faults = serde::get_field(json.as_object().unwrap(), "minor_faults")
+            .unwrap()
+            .as_object()
+            .unwrap();
+        let median = |side| {
+            let o = serde::get_field(faults, side).unwrap().as_object().unwrap();
+            serde::get_field(o, "median").unwrap().clone()
+        };
+        assert_eq!(median("parent"), Value::F64(200.0));
+        // A run without counters is left out, not counted as zero.
+        assert_eq!(median("change"), Value::F64(40.0));
     }
 
     #[test]

@@ -103,13 +103,7 @@ impl Sequential {
     /// Concatenates all parameters into one flat rank-1 tensor of length
     /// [`Sequential::param_count`].
     pub fn param_vector(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            for p in layer.params() {
-                flat.extend_from_slice(p.as_slice());
-            }
-        }
-        Tensor::from_flat(flat)
+        self.concat(|layer| layer.params())
     }
 
     /// Writes a flat parameter vector back into the layers.
@@ -141,13 +135,23 @@ impl Sequential {
     /// Concatenates all accumulated gradients into one flat tensor, aligned
     /// with [`Sequential::param_vector`].
     pub fn grad_vector(&self) -> Tensor {
-        let mut flat = Vec::with_capacity(self.param_count());
+        self.concat(|layer| layer.grads())
+    }
+
+    /// The layers' tensors picked by `pick`, in order, written into one
+    /// rank-1 buffer of length [`Sequential::param_count`] — one
+    /// allocation, no intermediate `Vec`.
+    fn concat<'a>(&'a self, pick: impl Fn(&'a dyn Layer) -> Vec<&'a Tensor>) -> Tensor {
+        let mut out = Tensor::zeros(&[self.param_count()]);
+        let mut rest = out.as_mut_slice();
         for layer in &self.layers {
-            for g in layer.grads() {
-                flat.extend_from_slice(g.as_slice());
+            for t in pick(layer.as_ref()) {
+                let (head, tail) = rest.split_at_mut(t.len());
+                head.copy_from_slice(t.as_slice());
+                rest = tail;
             }
         }
-        Tensor::from_flat(flat)
+        out
     }
 
     /// Layer names, for debugging and model summaries.

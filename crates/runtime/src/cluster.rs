@@ -2,9 +2,9 @@
 //! [`Transport`] — in-process channels or real TCP loopback sockets.
 //!
 //! Every node thread is a thin driver over the sans-I/O machines of
-//! [`guanyu::node`]: it decodes wire frames into [`NodeMsg`]s, feeds them
-//! to its machine, and puts the machine's outbound messages back on the
-//! wire. All protocol logic — quorum ledgers, GAR folds, the contraction
+//! [`guanyu::node`]: it receives [`NodeMsg`]s its transport decoded from
+//! wire frames, feeds them to its machine, and puts the machine's outbound
+//! messages back on the wire. All protocol logic — quorum ledgers, GAR folds, the contraction
 //! exchange, crash adoption, Byzantine forging — lives in the shared
 //! machines, so the threaded runtime cannot drift from the lockstep and
 //! event-driven engines (DESIGN.md §11), and the machines themselves, `θ₀`
@@ -36,7 +36,6 @@ use tensor::{Tensor, TensorRng};
 use crate::pool::PoolStats;
 use crate::tcp::TcpTransport;
 use crate::transport::{ChannelTransport, Incoming, RecvError, Transport};
-use crate::wire::decode;
 
 /// Which interconnect carries the frames (DESIGN.md §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -302,7 +301,7 @@ struct Link {
 }
 
 impl Link {
-    /// Blocks for the next frame; `None` once the run is flagged done or
+    /// Blocks for the next message; `None` once the run is flagged done or
     /// the transport has closed.
     fn recv(&mut self) -> Option<Incoming> {
         loop {
@@ -363,19 +362,16 @@ impl Link {
 }
 
 /// The node thread of every single-machine role (honest server,
-/// Byzantine server, Byzantine worker): decode, feed the machine, put its
-/// outputs on the wire. An honest server leaves when its machine halts;
+/// Byzantine server, Byzantine worker): feed each received message to the
+/// machine, put its outputs on the wire. An honest server leaves when its machine halts;
 /// the Byzantine machines never halt and leave when the run is done.
 fn node_thread(mut node: Node, map: IdMap, mut link: Link) -> (Node, Vec<StepRecord>, NetStats) {
     let mut out = Vec::new();
     node.on_start(&mut out);
     link.drive(map, &mut out);
     while !node.halted() {
-        let Some(frame) = link.recv() else { break };
-        let Ok(msg) = decode(&frame.payload) else {
-            continue; // malformed frame: necessarily Byzantine, drop
-        };
-        node.on_message(map.logical(frame.from), &msg, &mut out);
+        let Some(got) = link.recv() else { break };
+        node.on_message(map.logical(got.from), &got.msg, &mut out);
         link.drive(map, &mut out);
     }
     let (records, stats) = link.close();
@@ -444,11 +440,13 @@ impl WorkerPipeline {
         let view = if shards == 1 {
             slices.into_iter().next().flatten().expect("complete")
         } else {
-            let mut flat = Vec::with_capacity(self.plan.d());
-            for s in slices {
-                flat.extend_from_slice(s.expect("complete").as_slice());
+            // Each group's slice written into its range of one buffer.
+            let mut view = Tensor::zeros(&[self.plan.d()]);
+            let flat = view.as_mut_slice();
+            for (g, s) in slices.into_iter().enumerate() {
+                flat[self.plan.range(g)].copy_from_slice(s.expect("complete").as_slice());
             }
-            Tensor::from_flat(flat)
+            view
         };
         let grad = self.source.compute(&view).ok();
         for (g, out) in out_by_group.iter_mut().enumerate() {
@@ -493,21 +491,18 @@ fn worker_thread(mut pipe: WorkerPipeline, maps: Vec<IdMap>, mut link: Link) -> 
         }
         // The worker keeps draining (and discarding) frames after it halts
         // so late server broadcasts never hit a closed endpoint.
-        let Some(frame) = link.recv() else { break };
+        let Some(got) = link.recv() else { break };
         // Model slices are dispatched to their shard group's machine
         // (group = sender's position in the server plane); anything else
         // is not addressed to an honest worker.
-        if frame.from >= plane {
+        if got.from >= plane {
             continue;
         }
-        let g = frame.from / replicas;
+        let g = got.from / replicas;
         if g >= shards {
             continue;
         }
-        let Ok(msg) = decode(&frame.payload) else {
-            continue;
-        };
-        pipe.machines[g].on_message(maps[g].logical(frame.from), &msg, &mut outs[g]);
+        pipe.machines[g].on_message(maps[g].logical(got.from), &got.msg, &mut outs[g]);
     }
     link.close().1
 }

@@ -78,5 +78,5 @@ pub use tcp::TcpTransport;
 pub use transport::{ChannelTransport, Incoming, RecvError, Transport};
 pub use wire::{
     decode, encode, encode_range_shared, encode_shared, prefix_frame, write_frames, StreamDecoder,
-    WireError, WireMsg, MAX_ELEMS, MAX_FRAME_BYTES,
+    WireError, WireMsg, MAX_ELEMS, MAX_FRAME_BYTES, READ_SLACK,
 };

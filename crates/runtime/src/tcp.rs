@@ -15,9 +15,10 @@
 //! * **Framing** — each frame travels as `[nbytes: u32][frame bytes]`,
 //!   re-assembled by [`wire::StreamDecoder`](crate::wire::StreamDecoder)
 //!   with its hard size cap. A poisoned stream (over-cap prefix) is
-//!   severed and counted ([`Transport::link_failures`]); individual
-//!   malformed *frames* are passed up and dropped by the node thread,
-//!   exactly as on the channel transport.
+//!   severed and counted ([`Transport::link_failures`]); an individual
+//!   malformed *frame* is dropped by the reader plane where it is decoded,
+//!   and the link stays up, just as the channel transport drops one in its
+//!   receive.
 //! * **Writer threads** — one per outgoing link, fed by an in-process
 //!   queue of `Arc`-shared encoded frames: a broadcast encodes once, and
 //!   a peer stalled in TCP backpressure delays only its own writer, never
@@ -30,7 +31,10 @@
 //!   sweep, parked on a readiness [`Waker`] between bursts (the std-only
 //!   stand-in for `epoll` readiness): thread count is O(links out) + 1
 //!   per node instead of O(n) readers each, and quiet links cost zero
-//!   wake-ups and zero speculative syscalls.
+//!   wake-ups and zero speculative syscalls. Each socket is read straight
+//!   into its link's re-assembly buffer, and each frame is decoded out of
+//!   that buffer into the message's tensor: one allocation per received
+//!   vector, and the node thread receives messages, not bytes.
 //! * **Shutdown** — closing the endpoint drops the writer queues (each
 //!   writer drains what is already queued, then half-closes its socket so
 //!   the peer's reader sees EOF), flags the reader plane, and **joins
@@ -46,15 +50,12 @@ use std::time::Duration;
 
 use crate::pool::{BufPool, PoolStats};
 use crate::transport::{Incoming, RecvError, Transport};
-use crate::wire::{encode_range_shared, encode_shared, write_frames, StreamDecoder, WireMsg};
+use crate::wire::{
+    decode, encode_range_shared, encode_shared, write_frames, StreamDecoder, WireMsg,
+};
 
 /// Handshake magic ("GUAN").
 const MAGIC: u32 = 0x4755_414E;
-
-/// Read-chunk size of the reader plane: one non-blocking read pulls up to
-/// this much per socket visit, so a paper-scale frame crosses in a few
-/// dozen reads instead of hundreds.
-const READ_CHUNK: usize = 256 * 1024;
 
 /// Consecutive reads per socket per sweep before moving on — drains a
 /// bursty link without starving its siblings.
@@ -500,22 +501,25 @@ enum Pump {
 }
 
 /// Reads whatever one socket has ready (bounded by [`READS_PER_VISIT`]
-/// chunks, so a firehose link cannot starve its siblings) and pushes every
-/// completed frame into the node's inbox.
-fn pump_conn(conn: &mut Conn, inbox: &Sender<Incoming>, chunk: &mut [u8]) -> Pump {
+/// reads, so a firehose link cannot starve its siblings), decodes every
+/// completed frame out of the link's buffer and pushes the messages into
+/// the node's inbox. A frame that does not decode is dropped here; only a
+/// poisoned stream severs the link.
+fn pump_conn(conn: &mut Conn, inbox: &Sender<Incoming>) -> Pump {
     let mut got_any = false;
     for _ in 0..READS_PER_VISIT {
-        match conn.stream.read(chunk) {
+        let want = conn.dec.read_len();
+        match conn.dec.read_from(&mut conn.stream) {
             Ok(0) => return Pump::Eof,
             Ok(k) => {
-                conn.dec.extend(&chunk[..k]);
                 loop {
                     match conn.dec.next_frame() {
                         Ok(Some(frame)) => {
-                            let payload: Arc<[u8]> = frame.into();
+                            // Malformed: necessarily Byzantine, dropped.
+                            let Ok(msg) = decode(frame) else { continue };
                             let incoming = Incoming {
                                 from: conn.from,
-                                payload,
+                                msg,
                             };
                             if inbox.send(incoming).is_err() {
                                 return Pump::Gone;
@@ -526,7 +530,7 @@ fn pump_conn(conn: &mut Conn, inbox: &Sender<Incoming>, chunk: &mut [u8]) -> Pum
                     }
                 }
                 got_any = true;
-                if k < chunk.len() {
+                if k < want {
                     break; // socket drained for now
                 }
             }
@@ -570,7 +574,6 @@ fn reader_plane(
         // plane; read errors below will sever it.
         let _ = c.stream.set_nonblocking(true);
     }
-    let mut chunk = vec![0u8; READ_CHUNK];
     // Hot = worth reading this sweep, indexed by sender id.
     let mut hot = vec![false; waker.slots()];
     let mut full_sweep = true; // the first pass reads every link once
@@ -585,7 +588,7 @@ fn reader_plane(
                 i += 1;
                 continue;
             }
-            match pump_conn(&mut conns[i], &inbox, &mut chunk) {
+            match pump_conn(&mut conns[i], &inbox) {
                 Pump::Data => {
                     // The kernel buffer may hold more than one visit
                     // drains: stay hot until a visit comes back empty.
@@ -637,7 +640,7 @@ fn reader_plane(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode, encode, prefix_frame};
+    use crate::wire::{encode, prefix_frame};
     use std::time::Instant;
     use tensor::Tensor;
 
@@ -697,7 +700,7 @@ mod tests {
             n0.send(1, &msg(i, vec![i as f32]));
             std::thread::sleep(Duration::from_millis(2));
             let got = n1.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(decode(&got.payload).unwrap().step(), i);
+            assert_eq!(got.msg.step(), i);
         }
         n0.shutdown();
         n1.shutdown();
@@ -715,7 +718,7 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..2 {
             let i = n2.recv_timeout(Duration::from_secs(5)).unwrap();
-            got.push((i.from, decode(&i.payload).unwrap().step()));
+            got.push((i.from, i.msg.step()));
         }
         got.sort_unstable();
         assert_eq!(got, vec![(0, 7), (1, 8)]);
@@ -760,7 +763,7 @@ mod tests {
         let vals: Vec<f32> = (0..100_000).map(|i| i as f32 * 0.25).collect();
         n0.broadcast(&[1], &msg(9, vals.clone()));
         let i = n1.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(decode(&i.payload).unwrap(), msg(9, vals));
+        assert_eq!(i.msg, msg(9, vals));
         n0.shutdown();
         n1.shutdown();
     }
@@ -777,7 +780,7 @@ mod tests {
         assert_eq!(n0.pool.fresh() + n0.pool.recycled(), before + 1);
         for n in [&mut n1, &mut n2] {
             let i = n.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(decode(&i.payload).unwrap(), msg(1, vec![1.0, 2.0]));
+            assert_eq!(i.msg, msg(1, vec![1.0, 2.0]));
         }
         n0.shutdown();
         n1.shutdown();
@@ -855,11 +858,54 @@ mod tests {
         prefix_frame(&encode(&msg(5, vec![1.5])), &mut prefixed);
         byz.write_all(&prefixed).unwrap();
         let got = inbox_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(decode(&got.payload).unwrap(), msg(5, vec![1.5]));
+        assert_eq!(got.msg, msg(5, vec![1.5]));
         // Then a lying length prefix: the link is severed, the plane (now
         // linkless) exits, and the failure is counted.
         byz.write_all(&u32::MAX.to_le_bytes()).unwrap();
         plane.join().unwrap();
         assert_eq!(failures.load(Ordering::Relaxed), 1);
+    }
+
+    /// A frame that is framed correctly but does not decode is dropped by
+    /// the reader plane, and the link stays up: the good frames on either
+    /// side of it arrive, in order, and nothing counts as a failure.
+    #[test]
+    fn malformed_frame_is_dropped_and_the_link_survives() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut byz = TcpStream::connect(addr).unwrap();
+        let victim = listener.accept().unwrap().0;
+        let (inbox_tx, inbox_rx) = channel::<Incoming>();
+        let stop = Arc::new(AtomicBool::new(false));
+        let failures = Arc::new(AtomicU64::new(0));
+        let plane = {
+            let conns = vec![Conn {
+                from: 0,
+                stream: victim,
+                dec: StreamDecoder::new(),
+            }];
+            let stop = Arc::clone(&stop);
+            let failures = Arc::clone(&failures);
+            let waker = Arc::new(Waker::new(1));
+            std::thread::spawn(move || reader_plane(conns, inbox_tx, stop, failures, waker))
+        };
+        let mut bad = encode(&msg(6, vec![2.5]));
+        bad[0] = 77; // an unknown tag inside valid stream framing
+        let mut stream = Vec::new();
+        let mut prefixed = Vec::new();
+        for frame in [encode(&msg(5, vec![1.5])), bad, encode(&msg(7, vec![3.5]))] {
+            prefix_frame(&frame, &mut prefixed);
+            stream.extend_from_slice(&prefixed);
+        }
+        byz.write_all(&stream).unwrap();
+        for want in [msg(5, vec![1.5]), msg(7, vec![3.5])] {
+            let got = inbox_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!((got.from, got.msg), (0, want));
+        }
+        // A clean close: the plane, now linkless, exits.
+        drop(byz);
+        plane.join().unwrap();
+        assert!(inbox_rx.try_recv().is_err(), "the bad frame never arrives");
+        assert_eq!(failures.load(Ordering::Relaxed), 0);
     }
 }

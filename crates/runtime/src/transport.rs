@@ -8,13 +8,14 @@
 //! (DESIGN.md §7):
 //!
 //! * [`ChannelTransport`] — in-process `mpsc` channels, the original
-//!   engine: zero-copy fan-out (a broadcast encodes once and every
-//!   receiver holds the same `Arc`ed buffer), encode scratch recycled
+//!   engine: a broadcast encodes once and every receiver's mailbox holds
+//!   the same `Arc`ed frame, which each receiver decodes in
+//!   [`recv_timeout`](Transport::recv_timeout); encode scratch recycled
 //!   through a mesh-shared [`BufPool`];
 //! * [`TcpTransport`](crate::tcp::TcpTransport) — real loopback sockets
 //!   with length-prefixed stream framing, batched per-peer writer threads,
-//!   a single poll-style reader thread per node and an id-carrying
-//!   handshake.
+//!   a single poll-style reader thread per node that decodes each frame
+//!   out of its re-assembly buffer, and an id-carrying handshake.
 //!
 //! Both carry the *same bytes* ([`wire`](crate::wire) codec), and at full
 //! quorums both produce bit-identical runs — the cross-transport
@@ -29,23 +30,24 @@
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::pool::{BufPool, PoolStats};
-use crate::wire::{encode_range_shared, encode_shared, WireMsg};
+use crate::wire::{decode, encode_range_shared, encode_shared, WireMsg};
 
-/// One received frame: the transport-level sender identity plus the raw
-/// frame bytes (decoded by the node thread, where malformed input is
-/// treated as Byzantine and dropped).
+/// One received message: the transport-level sender identity plus the
+/// decoded message. Each transport decodes where the frame arrives (the
+/// TCP reader plane, the channel endpoint's receive) and drops a malformed
+/// frame there — it is necessarily Byzantine — so only well-formed
+/// messages reach the node thread.
 #[derive(Debug, Clone)]
 pub struct Incoming {
     /// Transport-level peer id of the sender (channel index, or the id the
     /// TCP handshake carried). Receivers use it to fold quorums in
     /// canonical sender order.
     pub from: usize,
-    /// Raw frame bytes; `Arc<[u8]>` so a broadcast shares one allocation
-    /// (no `Vec` indirection between the refcount and the bytes).
-    pub payload: Arc<[u8]>,
+    /// The decoded message.
+    pub msg: WireMsg,
 }
 
 /// Why a receive returned nothing.
@@ -92,7 +94,7 @@ pub trait Transport: Send {
         PoolStats::default()
     }
 
-    /// Blocks up to `timeout` for the next frame.
+    /// Blocks up to `timeout` for the next well-formed message.
     ///
     /// # Errors
     ///
@@ -125,10 +127,10 @@ struct Frame {
 
 /// In-process transport: one `mpsc` channel per node, shared sender set.
 ///
-/// This is the PR-3 "zero-copy gradient plane" engine behind the trait: a
-/// broadcast encodes one frame and every receiver's mailbox holds the same
-/// `Arc<[u8]>`. Encode scratch buffers are recycled through one
-/// [`BufPool`] shared by every endpoint of the mesh.
+/// A broadcast encodes one frame and every receiver's mailbox holds the
+/// same `Arc<[u8]>`; each receiver decodes it into its own tensor. Encode
+/// scratch buffers are recycled through one [`BufPool`] shared by every
+/// endpoint of the mesh.
 pub struct ChannelTransport {
     me: usize,
     senders: Arc<Vec<Sender<Frame>>>,
@@ -209,13 +211,19 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Incoming, RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(f) => Ok(Incoming {
-                from: f.from,
-                payload: f.payload,
-            }),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(left) {
+                Ok(f) => match decode(&f.payload) {
+                    Ok(msg) => return Ok(Incoming { from: f.from, msg }),
+                    // Malformed: necessarily Byzantine. Drop it and wait
+                    // out the rest of the caller's deadline.
+                    Err(_) => continue,
+                },
+                Err(RecvTimeoutError::Timeout) => return Err(RecvError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Closed),
+            }
         }
     }
 
@@ -231,7 +239,6 @@ impl Transport for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::decode;
     use tensor::Tensor;
 
     fn msg(step: u64) -> WireMsg {
@@ -252,7 +259,7 @@ mod tests {
         let a = n2.recv_timeout(Duration::from_secs(1)).unwrap();
         let b = n2.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!((a.from, b.from), (0, 1));
-        assert_eq!(decode(&a.payload).unwrap(), msg(7));
+        assert_eq!(a.msg, msg(7));
         assert_eq!(n0.link_failures(), 0, "channels never sever");
         assert!(matches!(
             n0.recv_timeout(Duration::from_millis(5)),
@@ -267,9 +274,39 @@ mod tests {
         let mut n1 = mesh.pop().unwrap();
         let mut n0 = mesh.pop().unwrap();
         n0.broadcast(&[1, 2], &msg(1));
+        let stats = n0.pool_stats();
+        assert_eq!(
+            stats.fresh + stats.recycled,
+            1,
+            "one encode for the fan-out"
+        );
         let a = n1.recv_timeout(Duration::from_secs(1)).unwrap();
         let b = n2.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(Arc::ptr_eq(&a.payload, &b.payload), "fan-out must share");
+        assert_eq!((a.from, b.from), (0, 0));
+        assert_eq!(a.msg, msg(1));
+        assert_eq!(b.msg, a.msg);
+    }
+
+    #[test]
+    fn channel_receive_drops_a_malformed_frame_and_keeps_waiting() {
+        let mut mesh = ChannelTransport::mesh(2);
+        let mut n1 = mesh.pop().unwrap();
+        let mut n0 = mesh.pop().unwrap();
+        let raw = |n0: &ChannelTransport, bytes: Vec<u8>| {
+            let payload = bytes.into();
+            n0.senders[1].send(Frame { from: 0, payload }).unwrap();
+        };
+        // A bad tag alone: nothing well-formed arrives before the deadline.
+        raw(&n0, vec![99u8; 20]);
+        assert!(matches!(
+            n1.recv_timeout(Duration::from_millis(5)),
+            Err(RecvError::Timeout)
+        ));
+        // A truncated frame ahead of a good one: the good one is delivered.
+        raw(&n0, vec![1u8, 2, 3]);
+        n0.send(1, &msg(4));
+        let got = n1.recv_timeout(Duration::from_secs(1)).unwrap();
+        assert_eq!((got.from, got.msg), (0, msg(4)));
     }
 
     #[test]
@@ -296,13 +333,13 @@ mod tests {
             grad: Tensor::from_flat(vec![0.0, 1.0, 2.0, 3.0, 4.0]),
         };
         n0.broadcast_range(&[1, 2], &full, 1..4);
+        let stats = n0.pool_stats();
+        assert_eq!(stats.fresh + stats.recycled, 1, "one encode for the group");
         let a = n1.recv_timeout(Duration::from_secs(1)).unwrap();
         let b = n2.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert!(Arc::ptr_eq(&a.payload, &b.payload), "scatter must share");
-        let decoded = decode(&a.payload).unwrap();
-        assert_eq!(decoded.step(), 3);
-        assert_eq!(decoded.vector().as_slice(), &[1.0, 2.0, 3.0]);
-        assert_eq!(n0.pool_stats().fresh, 1);
+        assert_eq!(a.msg.step(), 3);
+        assert_eq!(a.msg.vector().as_slice(), &[1.0, 2.0, 3.0]);
+        assert_eq!(b.msg, a.msg);
     }
 
     #[test]

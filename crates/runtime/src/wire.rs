@@ -11,24 +11,26 @@
 //! validated on decode. A malformed frame from a Byzantine peer yields a
 //! [`WireError`], never a panic.
 //!
-//! Encoding serializes **directly from the tensor's borrowed buffer** (no
-//! intermediate copy of the payload), and [`encode_into`] reuses a caller
-//! scratch buffer so a broadcast can encode once and fan the same bytes out
-//! to every receiver.
+//! Each hop converts a vector once. Encoding writes the payload straight
+//! from the tensor's borrowed buffer into a recycled scratch buffer, and
+//! [`encode_shared`] then copies the frame once into the `Arc<[u8]>` that a
+//! broadcast fans out to every receiver. [`decode`] converts the payload
+//! straight into the tensor's shared buffer: one allocation, one pass.
 //!
 //! Both transports (DESIGN.md §7) share this codec. The channel transport
 //! moves whole frames, so [`decode`] alone suffices; the TCP transport sees
 //! an undelimited byte stream, so each frame travels behind a `u32`
-//! length prefix and [`StreamDecoder`] re-assembles frames incrementally,
-//! yielding each frame as a borrow of its re-assembly buffer (no per-frame
-//! copy). The prefix is validated against [`MAX_FRAME_BYTES`] *before* any
-//! allocation — a Byzantine peer cannot make a receiver reserve gigabytes
-//! by lying about the length. On the send side [`encode_shared`] fills a
-//! recycled [`BufPool`](crate::pool::BufPool) scratch buffer and
-//! [`write_frames`] flushes whole batches of prefixed frames per vectored
-//! syscall.
+//! length prefix and [`StreamDecoder`] re-assembles frames incrementally.
+//! It reads from the socket straight into its own buffer
+//! ([`StreamDecoder::read_from`]), sized by what the current frame still
+//! needs, and yields each frame as a borrow of that buffer, which the
+//! reader decodes in place. The prefix is validated against
+//! [`MAX_FRAME_BYTES`] *before* any allocation — a Byzantine peer cannot
+//! make a receiver reserve gigabytes by lying about the length. On the
+//! send side [`write_frames`] flushes whole batches of prefixed frames per
+//! vectored syscall.
 
-use std::io::{IoSlice, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 
 use tensor::Tensor;
@@ -109,8 +111,11 @@ fn encode_parts(tag: u8, step: u64, data: &[f32], buf: &mut Vec<u8>) {
     buf.push(tag);
     buf.extend_from_slice(&step.to_le_bytes());
     buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    for &v in data {
-        buf.extend_from_slice(&v.to_le_bytes());
+    // Size first, then fill fixed-width chunks: this loop vectorises where
+    // a per-float `extend_from_slice` does not.
+    buf.resize(HEADER + data.len() * 4, 0);
+    for (out, v) in buf[HEADER..].chunks_exact_mut(4).zip(data) {
+        out.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -130,7 +135,8 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
 
 /// Encodes a message into an `Arc`-shared frame through a recycled
 /// [`BufPool`] scratch buffer: the fill runs in pooled memory and only the
-/// final right-sized `Arc<[u8]>` allocation remains per message. Both
+/// final right-sized `Arc<[u8]>` allocation (and the copy into it) remains
+/// per message. Both
 /// transports encode through this (one pool per mesh), so a broadcast
 /// costs one encode + one shared allocation however many receivers fan
 /// out.
@@ -191,15 +197,24 @@ pub fn decode(frame: &[u8]) -> Result<WireMsg, WireError> {
             available: frame.len(),
         });
     }
-    let data: Vec<f32> = payload[..need]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks")))
-        .collect();
-    let vec = Tensor::from_flat(data);
+    // Straight into the tensor's shared buffer: `chunks_exact` reports its
+    // exact length, so the collect allocates once and converts in one pass.
+    let vec = || -> Tensor {
+        payload[..need]
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks")))
+            .collect()
+    };
     match tag {
-        TAG_MODEL => Ok(WireMsg::Model { step, params: vec }),
-        TAG_GRADIENT => Ok(WireMsg::Gradient { step, grad: vec }),
-        TAG_EXCHANGE => Ok(WireMsg::Exchange { step, params: vec }),
+        TAG_MODEL => Ok(WireMsg::Model {
+            step,
+            params: vec(),
+        }),
+        TAG_GRADIENT => Ok(WireMsg::Gradient { step, grad: vec() }),
+        TAG_EXCHANGE => Ok(WireMsg::Exchange {
+            step,
+            params: vec(),
+        }),
         t => Err(WireError::BadTag(t)),
     }
 }
@@ -211,22 +226,35 @@ pub fn decode(frame: &[u8]) -> Result<WireMsg, WireError> {
 /// [ nbytes: u32 ][ frame: nbytes bytes ] [ nbytes: u32 ][ frame ] …
 /// ```
 ///
-/// Feed arbitrary chunks with [`extend`](Self::extend) (TCP delivers bytes
+/// Fill it straight from a socket with [`read_from`](Self::read_from) (or
+/// feed arbitrary chunks with [`extend`](Self::extend) — TCP delivers bytes
 /// at whatever granularity it likes) and drain complete frames with
 /// [`next_frame`](Self::next_frame). The decoder is *fallible, never
 /// panicking*: an over-cap length prefix poisons the stream with
 /// [`WireError::FrameTooLarge`] before a single payload byte is buffered —
-/// after any error the connection cannot be re-synchronised and must be
-/// closed (the Byzantine-peer convention, DESIGN.md §7).
+/// after that error the connection cannot be re-synchronised and must be
+/// closed (the Byzantine-peer convention, DESIGN.md §7). A frame that is
+/// framed correctly but does not [`decode`] leaves the stream intact.
 #[derive(Debug, Default)]
 pub struct StreamDecoder {
+    /// Initialised storage: bytes `start..end` are pending. It grows only
+    /// when the pending bytes plus the next input do not fit even after
+    /// moving them to the front, and never shrinks.
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted lazily to amortise the memmove).
+    /// Consumed prefix of `buf`.
     start: usize,
+    /// End of the bytes received so far.
+    end: usize,
 }
 
 /// Stream-level length prefix size.
 const PREFIX: usize = 4;
+
+/// What a [`StreamDecoder::read_from`] asks for beyond the end of the frame
+/// in progress: room for the next frame's prefix and a few small frames in
+/// the same read, while a link's buffer holds at most one frame, its
+/// prefix, and this much.
+pub const READ_SLACK: usize = 16 * 1024;
 
 impl StreamDecoder {
     /// An empty decoder.
@@ -234,36 +262,87 @@ impl StreamDecoder {
         Self::default()
     }
 
+    /// The `n` bytes after the pending ones, made room for: the pending
+    /// bytes move to the front before the buffer grows, and the buffer
+    /// grows to exactly what is needed.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        if self.end + n > self.buf.len() && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end + n > self.buf.len() {
+            self.buf.reserve_exact(self.end + n - self.buf.len());
+            self.buf.resize(self.end + n, 0);
+        }
+        &mut self.buf[self.end..self.end + n]
+    }
+
     /// Appends raw bytes received from the stream.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: keeps the buffer bounded by one frame
-        // plus one read chunk regardless of how long the stream runs.
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > (1 << 16) {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+        self.room(bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// How many bytes the next [`read_from`](Self::read_from) asks for:
+    /// what the frame in progress still lacks (its prefix first), plus
+    /// [`READ_SLACK`]. A read that returns fewer has drained the source
+    /// for now.
+    pub fn read_len(&self) -> usize {
+        let avail = &self.buf[self.start..self.end];
+        let missing = match avail.get(..PREFIX) {
+            None => PREFIX - avail.len(),
+            Some(prefix) => {
+                let nbytes = u32::from_le_bytes(prefix.try_into().expect("4 prefix bytes"));
+                // An over-cap prefix reads nothing more for itself:
+                // `next_frame` rejects it.
+                match nbytes as usize {
+                    n if n > MAX_FRAME_BYTES => 0,
+                    n => (PREFIX + n).saturating_sub(avail.len()),
+                }
+            }
+        };
+        missing + READ_SLACK
+    }
+
+    /// One `read` from `src` straight into the decoder's own buffer, of
+    /// [`read_len`](Self::read_len) bytes at most. Returns the bytes read;
+    /// `Ok(0)` is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns; nothing is appended then.
+    pub fn read_from<R: Read + ?Sized>(&mut self, src: &mut R) -> std::io::Result<usize> {
+        let want = self.read_len();
+        let k = src.read(self.room(want))?;
+        self.end += k;
+        Ok(k)
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
+    }
+
+    /// Bytes of buffer the decoder holds, consumed or not.
+    pub fn footprint(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Pops the next complete frame's bytes, `Ok(None)` when more input is
     /// needed. The frame is *borrowed straight from the re-assembly
-    /// buffer* — no per-frame copy; the receiver decodes (or `Arc`s) it
-    /// before the next [`extend`](Self::extend) may compact the buffer.
+    /// buffer* — no per-frame copy; the receiver decodes it before the
+    /// next [`read_from`](Self::read_from) or [`extend`](Self::extend) may
+    /// move the buffer's contents.
     ///
     /// # Errors
     ///
     /// [`WireError::FrameTooLarge`] when the length prefix exceeds
-    /// [`MAX_FRAME_BYTES`]. The stream is unrecoverable after an error.
+    /// [`MAX_FRAME_BYTES`]. The stream is unrecoverable after that error.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < PREFIX {
             return Ok(None);
         }
@@ -282,7 +361,7 @@ impl StreamDecoder {
     }
 
     /// Pops and decodes the next complete message (frame re-assembly plus
-    /// [`decode`] in one step).
+    /// [`decode`] in one step). A codec error consumes its frame.
     ///
     /// # Errors
     ///

@@ -4,14 +4,15 @@
 //! The same contract extends to the stream layer (`StreamDecoder`): the
 //! TCP transport feeds it raw socket bytes at arbitrary granularity, and
 //! it must re-assemble honestly framed streams exactly while rejecting
-//! over-cap prefixes before buffering a single payload byte.
+//! over-cap prefixes before buffering a single payload byte, whether it is
+//! fed chunks or reads from the socket itself.
 
-use std::io::{IoSlice, Write};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 
 use guanyu::node::NodeMsg;
 use guanyu_runtime::{
-    decode, encode, prefix_frame, write_frames, StreamDecoder, WireMsg, MAX_FRAME_BYTES,
+    decode, encode, prefix_frame, write_frames, StreamDecoder, WireMsg, MAX_FRAME_BYTES, READ_SLACK,
 };
 use proptest::prelude::*;
 use tensor::Tensor;
@@ -76,6 +77,37 @@ impl Write for ChoppyWriter {
     fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
+}
+
+/// A `Read` source with adversarial short reads: each call returns at
+/// most the next value of a cycled limit schedule (one byte included), as
+/// a socket may under load.
+struct ChoppyReader<'a> {
+    src: &'a [u8],
+    limits: Vec<usize>,
+    calls: usize,
+}
+
+impl Read for ChoppyReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let limit = self.limits[self.calls % self.limits.len()].max(1);
+        self.calls += 1;
+        let n = buf.len().min(limit).min(self.src.len());
+        buf[..n].copy_from_slice(&self.src[..n]);
+        self.src = &self.src[n..];
+        Ok(n)
+    }
+}
+
+/// A message whose `len` payload values follow from `step`: wide frames
+/// without drawing thousands of random floats per case.
+fn sized_msg(tag: u8, step: u64, len: usize) -> WireMsg {
+    let base = (step % 1024) as f32;
+    build_msg(
+        tag,
+        step,
+        (0..len).map(|i| base - i as f32 * 0.25).collect(),
+    )
 }
 
 proptest! {
@@ -272,5 +304,71 @@ proptest! {
         }
         prop_assert!(out.len() <= msgs.len());
         prop_assert_eq!(&msgs[..out.len()], &out[..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reading straight from a source that returns arbitrary short reads
+    /// yields exactly what feeding the whole stream through `extend` does,
+    /// and the decoder's buffer never holds more than the largest frame,
+    /// its prefix and one slack read — frames here range from empty to
+    /// several times the slack.
+    #[test]
+    fn read_from_short_reads_yields_what_extend_yields(
+        specs in proptest::collection::vec((0u8..3, any::<u64>(), 0usize..12_000), 0..6),
+        limits in proptest::collection::vec((0u8..3, 1usize..70_000), 1..6),
+    ) {
+        // One byte, a few dozen bytes, or up to several frames' worth.
+        let limits = limits
+            .into_iter()
+            .map(|(kind, n)| match kind {
+                0 => 1,
+                1 => n % 64 + 1,
+                _ => n,
+            })
+            .collect();
+        let msgs: Vec<WireMsg> = specs
+            .into_iter()
+            .map(|(tag, step, len)| sized_msg(tag, step, len))
+            .collect();
+        let frames: Vec<Vec<u8>> = msgs.iter().map(encode).collect();
+        let largest = frames.iter().map(Vec::len).max().unwrap_or(0);
+        let mut stream = Vec::new();
+        let mut prefixed = Vec::new();
+        for f in &frames {
+            prefix_frame(f, &mut prefixed);
+            stream.extend_from_slice(&prefixed);
+        }
+
+        let mut whole = StreamDecoder::new();
+        whole.extend(&stream);
+        let mut expected = Vec::new();
+        while let Some(m) = whole.next_msg().unwrap() {
+            expected.push(m);
+        }
+        prop_assert_eq!(&expected, &msgs);
+
+        let mut src = ChoppyReader { src: &stream, limits, calls: 0 };
+        let mut dec = StreamDecoder::new();
+        let mut out = Vec::new();
+        loop {
+            let asked = dec.read_len();
+            let k = dec.read_from(&mut src).unwrap();
+            prop_assert!(k <= asked);
+            prop_assert!(
+                dec.footprint() <= largest + 4 + READ_SLACK,
+                "footprint {} over {} + 4 + {}", dec.footprint(), largest, READ_SLACK
+            );
+            if k == 0 {
+                break;
+            }
+            while let Some(m) = dec.next_msg().unwrap() {
+                out.push(m);
+            }
+        }
+        prop_assert_eq!(out, expected);
+        prop_assert_eq!(dec.pending(), 0);
     }
 }
