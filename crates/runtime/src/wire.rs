@@ -136,10 +136,9 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
 /// Encodes a message into an `Arc`-shared frame through a recycled
 /// [`BufPool`] scratch buffer: the fill runs in pooled memory and only the
 /// final right-sized `Arc<[u8]>` allocation (and the copy into it) remains
-/// per message. Both
-/// transports encode through this (one pool per mesh), so a broadcast
-/// costs one encode + one shared allocation however many receivers fan
-/// out.
+/// per message. Both transports encode through this (one pool per mesh),
+/// so a broadcast costs one encode + one shared allocation however many
+/// receivers fan out.
 pub fn encode_shared(msg: &WireMsg, pool: &BufPool) -> Arc<[u8]> {
     encode_range_shared(msg, 0..msg.len(), pool)
 }
@@ -197,26 +196,19 @@ pub fn decode(frame: &[u8]) -> Result<WireMsg, WireError> {
             available: frame.len(),
         });
     }
+    let variant: fn(u64, Tensor) -> WireMsg = match tag {
+        TAG_MODEL => |step, params| WireMsg::Model { step, params },
+        TAG_GRADIENT => |step, grad| WireMsg::Gradient { step, grad },
+        TAG_EXCHANGE => |step, params| WireMsg::Exchange { step, params },
+        t => return Err(WireError::BadTag(t)),
+    };
     // Straight into the tensor's shared buffer: `chunks_exact` reports its
     // exact length, so the collect allocates once and converts in one pass.
-    let vec = || -> Tensor {
-        payload[..need]
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks")))
-            .collect()
-    };
-    match tag {
-        TAG_MODEL => Ok(WireMsg::Model {
-            step,
-            params: vec(),
-        }),
-        TAG_GRADIENT => Ok(WireMsg::Gradient { step, grad: vec() }),
-        TAG_EXCHANGE => Ok(WireMsg::Exchange {
-            step,
-            params: vec(),
-        }),
-        t => Err(WireError::BadTag(t)),
-    }
+    let vector = payload[..need]
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks")))
+        .collect();
+    Ok(variant(step, vector))
 }
 
 /// Incremental decoder for a length-prefixed byte *stream* of frames, as
