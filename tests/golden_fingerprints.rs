@@ -30,7 +30,7 @@ use guanyu::trace::positional_digest;
 use guanyu_runtime::{run_cluster, RuntimeConfig, TransportKind};
 use nn::{models, LrSchedule};
 use scenario::{Scenario, ScenarioFile};
-use simnet::{DelayModel, FaultPlan, NodeId, SimTime};
+use simnet::{DelayModel, FaultEffect, FaultPlan, FaultRule, LinkScope, NodeId, SimTime};
 
 /// Planned-mode trace fingerprint of every `scenario::matrix(40)` entry.
 const MATRIX: [(&str, u64); 10] = [
@@ -174,6 +174,7 @@ const EVENT_ARRIVAL_HONEST: (u64, u64) = (0x9119_a4ae_592d_1fff, 0x49d1_f08a_96c
 const EVENT_ARRIVAL_BYZANTINE: (u64, u64) = (0xd909_05e1_c133_0fa3, 0x1daa_ef98_51da_4dd7);
 const EVENT_ARRIVAL_RECOVERY: (u64, u64) = (0x273e_5a7d_5c5c_04c4, 0xc24f_8003_4822_678e);
 const EVENT_ARRIVAL_SINGLE_SERVER: (u64, u64) = (0xc8c0_b0df_7cf7_d6a0, 0x83e7_0307_4b3d_2d4a);
+const EVENT_ARRIVAL_CONGESTED: (u64, u64) = (0x7f98_2f7f_3353_e4d7, 0xfcb9_1d96_784c_8722);
 
 /// The recovery case's crash window in simulated seconds: a fault-free
 /// round takes ≈ 0.7 ms at this shape, so server 1 is cut off from early
@@ -317,4 +318,45 @@ fn event_arrival_single_server_run_is_pinned() {
         "no exchange plane"
     );
     assert_pinned("single server", pinned(&rec), EVENT_ARRIVAL_SINGLE_SERVER);
+}
+
+#[test]
+fn event_arrival_congested_run_is_pinned() {
+    // The paper's case against timing assumptions (§2): the adversary slows
+    // server 0's ingress 50× and makes honest worker 12 straggle by 2 s.
+    // Quorums are the first q arrivals, so every honest server still
+    // finishes every step; the delays only move when.
+    let mut cfg = event_arrival_cfg(6);
+    cfg.actual_byz_workers = 2;
+    cfg.worker_attack = Some(AttackKind::Random { scale: 100.0 });
+    let plan = FaultPlan::none()
+        .with_rule(FaultRule {
+            scope: LinkScope::To(NodeId(0)),
+            start: SimTime::ZERO,
+            end: SimTime(u64::MAX),
+            effect: FaultEffect::Delay {
+                factor: 50.0,
+                extra_secs: 0.0,
+            },
+        })
+        .straggler(NodeId(12), 2.0, SimTime::ZERO, SimTime(u64::MAX));
+    let last_step_at = |rec: &Recorder| rec.step_finished_at(cfg.max_steps - 1).unwrap();
+    let clean = last_step_at(&run_event_arrival(&cfg, FaultPlan::none()).borrow());
+    let rec = run_event_arrival(&cfg, plan);
+    let rec = rec.borrow();
+    for server in 0..6 {
+        let steps: Vec<u64> = rec
+            .records
+            .iter()
+            .filter(|r| r.server == server)
+            .map(|r| r.step)
+            .collect();
+        assert_eq!(steps, (0..6).collect::<Vec<_>>(), "server {server}");
+    }
+    assert!(
+        last_step_at(&rec) > clean,
+        "the delay must take effect: last step at {} vs {clean} fault-free",
+        last_step_at(&rec)
+    );
+    assert_pinned("congested", pinned(&rec), EVENT_ARRIVAL_CONGESTED);
 }
