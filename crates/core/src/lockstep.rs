@@ -181,8 +181,6 @@ pub struct LockstepTrainer {
     /// protocol fold.
     model_fold: CoordinateWiseMedian,
     eval_model: Sequential,
-    /// Full training set, kept for inspection (workers hold their shards).
-    train: Arc<Dataset>,
     test: Dataset,
     rng: TensorRng,
     step: u64,
@@ -243,7 +241,6 @@ impl LockstepTrainer {
             server_params,
             model_fold: CoordinateWiseMedian::new(),
             eval_model,
-            train,
             test,
             rng: plant.rng,
             step: 0,
@@ -273,12 +270,6 @@ impl LockstepTrainer {
     /// Simulated seconds elapsed.
     pub fn sim_time_secs(&self) -> f64 {
         self.sim_time
-    }
-
-    /// The full training set (workers train on per-worker shards derived
-    /// from it according to [`LockstepConfig::partition`]).
-    pub fn train_set(&self) -> &Dataset {
-        &self.train
     }
 
     /// Parameter vectors currently held by the honest servers.

@@ -30,7 +30,8 @@ pub enum DatasetError {
         /// Dataset size.
         len: usize,
     },
-    /// I/O failure while loading an on-disk dataset.
+    /// An invalid partitioning request (0 workers, more workers than
+    /// examples, a non-positive Dirichlet α, 0 classes per worker).
     Io(String),
     /// An underlying tensor operation failed.
     Tensor(TensorError),

@@ -8,9 +8,6 @@
 //! claims depends on natural-image statistics — the workload only needs a
 //! non-convex classification task with measurable held-out accuracy.
 //!
-//! A loader for the real CIFAR-10 binary format ([`load_cifar10_dir`]) is
-//! included for environments where the files exist.
-//!
 //! [`Dataset`] carries features and labels; [`Batcher`] yields seeded,
 //! shuffled mini-batches so each simulated worker draws an independent
 //! stochastic gradient stream.
@@ -19,13 +16,11 @@
 #![deny(unsafe_code)]
 
 mod batcher;
-mod cifar;
 mod dataset;
 mod partition;
 mod synthetic;
 
 pub use batcher::Batcher;
-pub use cifar::load_cifar10_dir;
 pub use dataset::{Dataset, DatasetError};
 pub use partition::{label_skew, partition_dataset, partition_indices, Partition};
 pub use synthetic::{gaussian_blobs, synthetic_cifar, SyntheticConfig};

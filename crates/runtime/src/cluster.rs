@@ -120,7 +120,8 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// Small defaults for tests and the quickstart example.
+    /// Small defaults for tests, soak runs and benchmarks (6 servers and 9
+    /// workers in arrival mode, over channels), overridden field by field.
     pub fn default_for_tests() -> Self {
         RuntimeConfig {
             cluster: ClusterConfig::new(6, 1, 9, 2).expect("valid"),

@@ -38,9 +38,9 @@ pub struct BufPool {
     high_water: AtomicU64,
 }
 
-/// A snapshot of a pool's counters, embedded in `ClusterReport` /
-/// `SoakReport` JSON so the pooled-frame plane is observable in soak runs
-/// and sweeps, not just unit tests.
+/// A snapshot of a pool's counters, carried by `ClusterReport` and
+/// embedded in `SoakReport` JSON so the pooled-frame plane is observable
+/// in soak runs and benchmarks, not just unit tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PoolStats {
     /// `get`s that had to allocate a fresh buffer.

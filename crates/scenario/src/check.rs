@@ -47,7 +47,8 @@ pub struct InvariantReport {
     /// Go-back-n retransmission attempts (switched-network runs).
     #[serde(default)]
     pub retransmits: u64,
-    /// Simulated seconds.
+    /// Seconds the run covered ([`ScenarioRun::sim_secs`]: simulated,
+    /// or wall-clock on the threaded engine).
     pub sim_secs: f64,
 }
 

@@ -67,7 +67,8 @@ pub struct ScenarioRun {
     /// Switched-network event runs: go-back-n retransmission attempts
     /// (0 elsewhere).
     pub retransmits: u64,
-    /// Simulated seconds the run covered.
+    /// Seconds the run covered: simulated on the lockstep and event
+    /// engines, wall-clock on the threaded one.
     pub sim_secs: f64,
 }
 

@@ -1,7 +1,8 @@
 //! Workspace umbrella crate for the GuanYu reproduction.
 //!
-//! This crate exists so that the repository's top-level `examples/` and
-//! `tests/` directories can exercise the public API of every member crate.
+//! This crate exists so that the repository's top-level `tests/` (and the
+//! two `examples/`, `quickstart` and `custom_gar`) can exercise the public
+//! API of every member crate.
 //! It re-exports the member crates under stable names; see the individual
 //! crates for the actual functionality:
 //!
